@@ -43,6 +43,7 @@
 
 #include "core/annihilator.h"
 #include "core/crt_shard.h"
+#include "core/las_vegas.h"
 #include "core/preconditioners.h"
 #include "core/solver.h"
 #include "matrix/blackbox.h"
@@ -158,99 +159,81 @@ class Session {
       return Status::Fail(FailureKind::kInvalidArgument, Stage::kNone,
                           "operator dimension is zero");
     }
-    std::uint64_t s = opt_.solver.sample_size;
-    Status last = Status::Fail(FailureKind::kNone, Stage::kNone);
-    const int attempts = opt_.solver.max_attempts < 1
-                             ? 1
-                             : opt_.solver.max_attempts;
-    for (int attempt = 1; attempt <= attempts; ++attempt) {
-      kp::util::fault::AttemptScope attempt_scope(attempt);
-      kp::util::OpScope ops;
-      util::Diag diag;
-      diag.attempt = attempt;
-      diag.sample_size = s;
-      diag.redrew_precondition = true;
-      diag.redrew_projection = true;
-      ++prepares_;
-
-      const Status st = [&]() -> Status {
-        if (Status ctl = util::ExecControl::check(control, Stage::kDraw);
-            !ctl.ok()) {
-          return ctl;
-        }
-        if (KP_FAULT_POINT(Stage::kDraw)) {
-          return Status::Injected(FailureKind::kInjectedFault, Stage::kDraw);
-        }
-        kp::util::Prng draw =
-            prng_.fork(0x73657373696f6e00ULL + static_cast<std::uint64_t>(
-                                                   ++transcript_serial_));
-        diag.precondition_seed = diag.projection_seed = draw.seed();
-        pre_ = Preconditioner<F>::draw(f_, n_, draw, s);
-        if (KP_FAULT_POINT(Stage::kPrecondition)) {
-          return Status::Injected(FailureKind::kSingularPrecondition,
-                                  Stage::kPrecondition);
-        }
-        for (const auto& d : pre_->diagonal.entries()) {
-          if (f_.is_zero(d)) {
-            return Status::Fail(FailureKind::kSingularPrecondition,
-                                Stage::kPrecondition,
-                                "zero diagonal entry: det(D) = 0");
+    // One re-drawable component: every attempt forks a single stream for
+    // H, D, u and v.
+    const detail::RedrawPolicy policy{
+        .max_attempts =
+            opt_.solver.max_attempts < 1 ? 1 : opt_.solver.max_attempts,
+        .components = 1,
+        .escalate_sample_size = true};
+    const auto out = detail::run_attempts(
+        policy, opt_.solver.sample_size, &prepare_diags_,
+        [&](int, std::uint64_t s, detail::Redraw redraw,
+            util::Diag& diag) -> Status {
+          diag.redrew_precondition = redraw.precondition;
+          diag.redrew_projection = redraw.projection;
+          ++prepares_;
+          if (Status ctl = util::ExecControl::check(control, Stage::kDraw);
+              !ctl.ok()) {
+            return ctl;
           }
-        }
-        // Rebuild the pinned box from the fresh H, D.  This is THE box every
-        // subsequent batch runs through -- its cached Hankel spectrum warms
-        // on the first product and stays for the session's lifetime.
-        box_.emplace(f_, ring_, a_, pre_->hankel, pre_->diagonal);
+          if (KP_FAULT_POINT(Stage::kDraw)) {
+            return Status::Injected(FailureKind::kInjectedFault, Stage::kDraw);
+          }
+          kp::util::Prng draw =
+              prng_.fork(0x73657373696f6e00ULL + static_cast<std::uint64_t>(
+                                                     ++transcript_serial_));
+          diag.precondition_seed = diag.projection_seed = draw.seed();
+          pre_ = Preconditioner<F>::draw(f_, n_, draw, s);
+          if (KP_FAULT_POINT(Stage::kPrecondition)) {
+            return Status::Injected(FailureKind::kSingularPrecondition,
+                                    Stage::kPrecondition);
+          }
+          for (const auto& d : pre_->diagonal.entries()) {
+            if (f_.is_zero(d)) {
+              return Status::Fail(FailureKind::kSingularPrecondition,
+                                  Stage::kPrecondition,
+                                  "zero diagonal entry: det(D) = 0");
+            }
+          }
+          // Rebuild the pinned box from the fresh H, D.  This is THE box every
+          // subsequent batch runs through -- its cached Hankel spectrum warms
+          // on the first product and stays for the session's lifetime.
+          box_.emplace(f_, ring_, a_, pre_->hankel, pre_->diagonal);
 
-        std::vector<E> u(n_), v(n_);
-        for (auto& e : u) e = f_.sample(draw, s);
-        for (auto& e : v) e = f_.sample(draw, s);
-        const auto seq =
-            matrix::krylov_sequence_iterative(f_, *box_, u, v, 2 * n_);
-        if (KP_FAULT_POINT(Stage::kProjection)) {
-          return Status::Injected(FailureKind::kDegenerateProjection,
-                                  Stage::kProjection);
-        }
-        if (Status ctl =
-                util::ExecControl::check(control, Stage::kCharpoly);
-            !ctl.ok()) {
-          return ctl;
-        }
-        std::vector<E> g;
-        Status gst = detail::generator_from_sequence_status(
-            f_, seq, n_, opt_.solver, ring_, g);
-        if (!gst.ok()) return gst;
+          std::vector<E> u(n_), v(n_);
+          for (auto& e : u) e = f_.sample(draw, s);
+          for (auto& e : v) e = f_.sample(draw, s);
+          const auto seq =
+              matrix::krylov_sequence_iterative(f_, *box_, u, v, 2 * n_);
+          if (KP_FAULT_POINT(Stage::kProjection)) {
+            return Status::Injected(FailureKind::kDegenerateProjection,
+                                    Stage::kProjection);
+          }
+          if (Status ctl =
+                  util::ExecControl::check(control, Stage::kCharpoly);
+              !ctl.ok()) {
+            return ctl;
+          }
+          std::vector<E> g;
+          Status gst = detail::generator_from_sequence_status(
+              f_, seq, n_, opt_.solver, ring_, g);
+          if (!gst.ok()) return gst;
 
-        const auto det_hd = pre_->det(f_, opt_.solver.newton);
-        if (f_.is_zero(det_hd)) {
-          return Status::Fail(FailureKind::kSingularPrecondition,
-                              Stage::kPrecondition, "det(H D) = 0");
-        }
-        const auto det_at = (n_ % 2 == 0) ? g[0] : f_.neg(g[0]);
-        det_ = f_.div(det_at, det_hd);
-        q_ = solution_combination(f_, g);
-        if (q_.empty()) {
-          return Status::Fail(FailureKind::kZeroConstantTerm, Stage::kCharpoly,
-                              "g(0) = 0: A-tilde singular");
-        }
-        g_ = std::move(g);
-        return Status::Ok();
-      }();
-
-      diag.kind = st.kind();
-      diag.stage = st.stage();
-      diag.injected = st.injected();
-      diag.ops = ops.counts();
-      prepare_diags_.push_back(diag);
-      if (st.ok()) {
-        prepared_ = true;
-        return st;
-      }
-      last = st;
-      if (util::is_control_failure(st.kind())) return st;
-      if (s < (std::uint64_t{1} << 62)) s *= 2;
-    }
-    return last;
+          auto det =
+              detail::det_from_charpoly(f_, *pre_, g, opt_.solver.newton);
+          if (!det.ok()) return det.status();
+          det_ = det.take();
+          q_ = solution_combination(f_, g);
+          if (q_.empty()) {
+            return Status::Fail(FailureKind::kZeroConstantTerm,
+                                Stage::kCharpoly, "g(0) = 0: A-tilde singular");
+          }
+          g_ = std::move(g);
+          return Status::Ok();
+        });
+    prepared_ = out.status.ok();
+    return out.status;
   }
 
   /// Diag records of every prepare attempt this session ever ran.

@@ -28,6 +28,8 @@
 //   * Every detected failure carries a util::Status naming its FailureKind
 //     and Stage, and every attempt leaves a util::Diag (seeds, what was
 //     re-drawn, op cost) in SolveResult::diags.
+//   * The attempt loop itself is detail::run_attempts (core/las_vegas.h),
+//     shared with Session::prepare and the Wiedemann routes.
 //   * Retries are STAGE-TARGETED: the paper's failure events are
 //     independent, so a degenerate u/v projection (Lemma 2) re-draws only
 //     u, v; a singular/unlucky preconditioner (Theorem 2 / estimate (1))
@@ -53,6 +55,7 @@
 
 #include "core/annihilator.h"
 #include "core/krylov.h"
+#include "core/las_vegas.h"
 #include "core/preconditioners.h"
 #include "core/wiedemann.h"
 #include "field/concepts.h"
@@ -179,31 +182,20 @@ util::Status generator_from_sequence_status(
   std::vector<typename F::Element> g(n + 1, f.zero());
   g[n] = f.one();
   for (std::size_t i = 0; i < n; ++i) g[n - 1 - i] = f.neg(y[i]);
-  if (KP_FAULT_POINT(util::Stage::kCharpoly)) {
-    return util::Status::Injected(util::FailureKind::kZeroConstantTerm,
-                                  util::Stage::kCharpoly);
-  }
-  if (f.eq(g[0], f.zero())) {
-    return util::Status::Fail(util::FailureKind::kZeroConstantTerm,
-                              util::Stage::kCharpoly,
-                              "g(0) = 0: A-tilde singular");
+  if (util::Status st = check_charpoly(f, g, n, util::Stage::kNewtonToeplitz);
+      !st.ok()) {
+    return st;
   }
   g_out = std::move(g);
   return util::Status::Ok();
 }
 
-/// Effective block width for the iterative route: the requested
-/// SolverOptions::block_width clamped to n, or 1 (the scalar sequence) when
-/// blocking is off, the system is trivial, or the field cannot supply the
-/// 2n + 2 distinct evaluation points the sigma-basis det-by-interpolation
-/// recovery may need.
+/// Effective block width for the iterative route: SolverOptions::block_width
+/// under the clamps of the Wiedemann routes (core/wiedemann.h).
 template <kp::field::Field F>
 std::size_t effective_block_width(const F& f, const SolverOptions& opt,
                                   std::size_t n) {
-  if (opt.block_width <= 1 || n <= 1) return 1;
-  const std::uint64_t p = f.characteristic();
-  if (p != 0 && p < 2 * n + 2) return 1;
-  return opt.block_width < n ? opt.block_width : n;
+  return effective_block_width(f, opt.block_width, n);
 }
 
 /// Dense A-tilde for the doubling route: the O(n^2 polylog) Hankel-product
@@ -264,10 +256,11 @@ void dense_fallback_run(const F& f, const B& a,
   res.status = util::Status::Ok();
 }
 
-/// One shared Las Vegas loop behind kp_solve (rhs != nullptr) and kp_det
-/// (rhs == nullptr): the pipelines differ only in whether steps 4b-5 solve
-/// and verify, so the draw scheme, retry policy, and diagnostics live here
-/// exactly once.
+/// The Theorem-4 attempt behind kp_solve (rhs != nullptr) and kp_det
+/// (rhs == nullptr), run on the shared Las Vegas loop: the pipelines differ
+/// only in whether steps 4b-5 solve and verify.  Two independently
+/// re-drawable components, |S| doubled on each full restart, and the
+/// per-attempt op budget.
 template <kp::field::Field F, matrix::LinOp B>
   requires std::same_as<typename B::Element, typename F::Element>
 SolveResult<F> theorem4_run(const F& f, const B& a,
@@ -311,240 +304,156 @@ SolveResult<F> theorem4_run(const F& f, const B& a,
   std::optional<Preconditioner<F>> pre;
   std::vector<E> u(n), v(n);
   std::uint64_t pre_seed = 0, proj_seed = 0;
-  bool redraw_pre = true, redraw_proj = true;
-  // Escalation state: has this component already been re-drawn ALONE since
-  // the other last changed?  A second targeted failure then implicates the
-  // pair and forces a full restart.
-  bool pre_alone = false, proj_alone = false;
-  std::uint64_t s = opt.sample_size;
-  Status last = Status::Fail(FailureKind::kNone, Stage::kNone);
 
-  for (res.attempts = 1; res.attempts <= opt.max_attempts; ++res.attempts) {
-    kp::util::fault::AttemptScope attempt_scope(res.attempts);
-    kp::util::OpScope ops;
-    util::Diag diag;
-    diag.attempt = res.attempts;
-    diag.sample_size = s;
-    res.sample_size_used = s;
-
-    const Status st = [&]() -> Status {
-      // Deadline/cancellation checks share the fault-point boundaries: one
-      // at the draw, one after the Krylov work, one before verification.
-      if (Status ctl = util::ExecControl::check(opt.control, Stage::kDraw);
-          !ctl.ok()) {
-        return ctl;
-      }
-      if (KP_FAULT_POINT(Stage::kDraw)) {
-        return Status::Injected(FailureKind::kInjectedFault, Stage::kDraw);
-      }
-      if (redraw_pre) {
-        kp::util::Prng r = pre_stream.fork(static_cast<std::uint64_t>(res.attempts));
-        pre_seed = r.seed();
-        pre = Preconditioner<F>::draw(f, n, r, s);
-      }
-      if (redraw_proj) {
-        kp::util::Prng r = proj_stream.fork(static_cast<std::uint64_t>(res.attempts));
-        proj_seed = r.seed();
-        for (auto& e : u) e = f.sample(r, s);
-        for (auto& e : v) e = f.sample(r, s);
-      }
-      diag.precondition_seed = pre_seed;
-      diag.projection_seed = proj_seed;
-      diag.redrew_precondition = redraw_pre;
-      diag.redrew_projection = redraw_proj;
-
-      // Proactive Theorem-2 check: a zero diagonal entry makes D -- hence
-      // A-tilde -- singular; catch it before spending the Krylov work.
-      if (KP_FAULT_POINT(Stage::kPrecondition)) {
-        return Status::Injected(FailureKind::kSingularPrecondition,
-                                Stage::kPrecondition);
-      }
-      for (const auto& d : pre->diagonal.entries()) {
-        if (f.is_zero(d)) {
-          return Status::Fail(FailureKind::kSingularPrecondition,
-                              Stage::kPrecondition,
-                              "zero diagonal entry: det(D) = 0");
+  const RedrawPolicy policy{.max_attempts = opt.max_attempts,
+                            .components = 2,
+                            .escalate_sample_size = true,
+                            .op_budget = opt.op_budget_per_attempt};
+  const AttemptsOutcome out = run_attempts(
+      policy, opt.sample_size, opt.collect_diag ? &res.diags : nullptr,
+      [&](int attempt, std::uint64_t s, Redraw redraw,
+          util::Diag& diag) -> Status {
+        // Deadline/cancellation checks share the fault-point boundaries: one
+        // at the draw, one after the Krylov work, one before verification.
+        if (Status ctl = util::ExecControl::check(opt.control, Stage::kDraw);
+            !ctl.ok()) {
+          return ctl;
         }
-      }
-
-      std::vector<E> g;   // charpoly of A-tilde
-      std::vector<E> xt;  // A-tilde^{-1} b
-      if (route == KrylovRoute::kDoubling) {
-        const auto at = dense_preconditioned(f, ring, a, *pre);
-        // a_i = u A-tilde^i v by doubling (9).
-        const auto seq = krylov_sequence_doubling(f, at, u, v, 2 * n, opt.matmul);
-        if (KP_FAULT_POINT(Stage::kProjection)) {
-          return Status::Injected(FailureKind::kDegenerateProjection,
-                                  Stage::kProjection);
+        if (KP_FAULT_POINT(Stage::kDraw)) {
+          return Status::Injected(FailureKind::kInjectedFault, Stage::kDraw);
         }
-        Status gst = generator_from_sequence_status(f, seq, n, opt, ring, g);
-        if (!gst.ok()) return gst;
+        if (redraw.precondition) {
+          kp::util::Prng r =
+              pre_stream.fork(static_cast<std::uint64_t>(attempt));
+          pre_seed = r.seed();
+          pre = Preconditioner<F>::draw(f, n, r, s);
+        }
+        if (redraw.projection) {
+          kp::util::Prng r =
+              proj_stream.fork(static_cast<std::uint64_t>(attempt));
+          proj_seed = r.seed();
+          for (auto& e : u) e = f.sample(r, s);
+          for (auto& e : v) e = f.sample(r, s);
+        }
+        diag.precondition_seed = pre_seed;
+        diag.projection_seed = proj_seed;
+        diag.redrew_precondition = redraw.precondition;
+        diag.redrew_projection = redraw.projection;
+
+        // Proactive Theorem-2 check: a zero diagonal entry makes D -- hence
+        // A-tilde -- singular; catch it before spending the Krylov work.
+        if (KP_FAULT_POINT(Stage::kPrecondition)) {
+          return Status::Injected(FailureKind::kSingularPrecondition,
+                                  Stage::kPrecondition);
+        }
+        for (const auto& d : pre->diagonal.entries()) {
+          if (f.is_zero(d)) {
+            return Status::Fail(FailureKind::kSingularPrecondition,
+                                Stage::kPrecondition,
+                                "zero diagonal entry: det(D) = 0");
+          }
+        }
+
+        std::vector<E> g;   // charpoly of A-tilde
+        std::vector<E> xt;  // A-tilde^{-1} b
+        if (route == KrylovRoute::kDoubling) {
+          const auto at = dense_preconditioned(f, ring, a, *pre);
+          // a_i = u A-tilde^i v by doubling (9).
+          const auto seq =
+              krylov_sequence_doubling(f, at, u, v, 2 * n, opt.matmul);
+          if (KP_FAULT_POINT(Stage::kProjection)) {
+            return Status::Injected(FailureKind::kDegenerateProjection,
+                                    Stage::kProjection);
+          }
+          Status gst = generator_from_sequence_status(f, seq, n, opt, ring, g);
+          if (!gst.ok()) return gst;
+          if (rhs) {
+            // Cayley-Hamilton solve of A-tilde xt = b through the Krylov block.
+            const auto q = solution_combination(f, g);
+            const auto block = krylov_block(f, at, *rhs, n, opt.matmul);
+            xt = krylov_combine(f, block, q);
+          }
+        } else if (const std::size_t bw = effective_block_width(f, opt, n);
+                   bw > 1) {
+          // Block route: ~2n/bw batched block applies feeding the sigma-basis,
+          // then the same annihilator finish as the scalar path.  U, V are
+          // re-derived from the recorded projection seed, so a kept projection
+          // replays bit-identically and a redraw targets only this stream.
+          const auto at = pre->box(f, ring, a);
+          kp::util::Prng br{proj_seed};
+          auto g_or = detail::block_charpoly_candidate(f, at, bw, br, s);
+          if (!g_or.ok()) return g_or.status();
+          g = g_or.take();
+          Status gst = check_charpoly(f, g, n, Stage::kBlockGenerator);
+          if (!gst.ok()) return gst;
+          if (rhs) xt = solve_from_annihilator(f, at, g, *rhs);
+        } else {
+          // Route (8): 2n products with the lazily composed A*H*D.
+          const auto at = pre->box(f, ring, a);
+          const auto seq =
+              matrix::krylov_sequence_iterative(f, at, u, v, 2 * n);
+          if (KP_FAULT_POINT(Stage::kProjection)) {
+            return Status::Injected(FailureKind::kDegenerateProjection,
+                                    Stage::kProjection);
+          }
+          Status gst = generator_from_sequence_status(f, seq, n, opt, ring, g);
+          if (!gst.ok()) return gst;
+          if (rhs) xt = solve_from_annihilator(f, at, g, *rhs);
+        }
+
+        if (Status ctl =
+                util::ExecControl::check(opt.control, Stage::kSolveFinish);
+            !ctl.ok()) {
+          return ctl;
+        }
+        auto det_a = det_from_charpoly(f, *pre, g, opt.newton);
+        if (!det_a.ok()) return det_a.status();
+
+        std::vector<E> x;
         if (rhs) {
-          // Cayley-Hamilton solve of A-tilde xt = b through the Krylov block.
-          const auto q = solution_combination(f, g);
-          const auto block = krylov_block(f, at, *rhs, n, opt.matmul);
-          xt = krylov_combine(f, block, q);
-        }
-      } else if (const std::size_t bw = effective_block_width(f, opt, n);
-                 bw > 1) {
-        // Block route: ~2n/bw batched block applies feeding the sigma-basis,
-        // then the same annihilator finish as the scalar path.  U, V are
-        // re-derived from the recorded projection seed, so a kept projection
-        // replays bit-identically and a redraw targets only this stream.
-        const auto at = pre->box(f, ring, a);
-        kp::util::Prng br{proj_seed};
-        auto g_or = detail::block_charpoly_candidate(f, at, bw, br, s);
-        if (!g_or.ok()) return g_or.status();
-        g = std::move(g_or).value();
-        if (g.size() != n + 1) {
-          return Status::Fail(FailureKind::kDegenerateProjection,
-                              Stage::kBlockGenerator,
-                              "deg det G != n: generator misses charpoly");
-        }
-        if (KP_FAULT_POINT(Stage::kCharpoly)) {
-          return Status::Injected(FailureKind::kZeroConstantTerm,
-                                  Stage::kCharpoly);
-        }
-        if (f.eq(g[0], f.zero())) {
-          return Status::Fail(FailureKind::kZeroConstantTerm, Stage::kCharpoly,
-                              "g(0) = 0: A-tilde singular");
-        }
-        if (rhs) xt = solve_from_annihilator(f, at, g, *rhs);
-      } else {
-        // Route (8): 2n products with the lazily composed A*H*D.
-        const auto at = pre->box(f, ring, a);
-        const auto seq = matrix::krylov_sequence_iterative(f, at, u, v, 2 * n);
-        if (KP_FAULT_POINT(Stage::kProjection)) {
-          return Status::Injected(FailureKind::kDegenerateProjection,
-                                  Stage::kProjection);
-        }
-        Status gst = generator_from_sequence_status(f, seq, n, opt, ring, g);
-        if (!gst.ok()) return gst;
-        if (rhs) xt = solve_from_annihilator(f, at, g, *rhs);
-      }
-
-      if (Status ctl =
-              util::ExecControl::check(opt.control, Stage::kSolveFinish);
-          !ctl.ok()) {
-        return ctl;
-      }
-      // det(A-tilde) = (-1)^n g(0); divide out the preconditioner.  det(H D)
-      // can only vanish on an unlucky draw (g(0) != 0 already rules out the
-      // composite), but the zero check guards the division regardless.
-      const auto det_hd = pre->det(f, opt.newton);
-      if (f.is_zero(det_hd)) {
-        return Status::Fail(FailureKind::kSingularPrecondition,
-                            Stage::kPrecondition, "det(H D) = 0");
-      }
-      const auto det_at = (n % 2 == 0) ? g[0] : f.neg(g[0]);
-      const E det_a = f.div(det_at, det_hd);
-
-      std::vector<E> x;
-      if (rhs) {
-        if (KP_FAULT_POINT(Stage::kSolveFinish)) {
-          return Status::Injected(FailureKind::kVerifyMismatch,
-                                  Stage::kSolveFinish);
-        }
-        x = pre->unprecondition(f, ring, xt);
-        if (opt.verify) {
-          if (Status ctl =
-                  util::ExecControl::check(opt.control, Stage::kVerify);
-              !ctl.ok()) {
-            return ctl;
+          if (KP_FAULT_POINT(Stage::kSolveFinish)) {
+            return Status::Injected(FailureKind::kVerifyMismatch,
+                                    Stage::kSolveFinish);
           }
-          if (KP_FAULT_POINT(Stage::kVerify)) {
-            return Status::Injected(FailureKind::kVerifyMismatch, Stage::kVerify);
-          }
-          if (a.apply(x) != *rhs) {
-            return Status::Fail(FailureKind::kVerifyMismatch, Stage::kVerify,
-                                "A x != b");
+          x = pre->unprecondition(f, ring, xt);
+          if (opt.verify) {
+            if (Status ctl =
+                    util::ExecControl::check(opt.control, Stage::kVerify);
+                !ctl.ok()) {
+              return ctl;
+            }
+            if (KP_FAULT_POINT(Stage::kVerify)) {
+              return Status::Injected(FailureKind::kVerifyMismatch,
+                                      Stage::kVerify);
+            }
+            if (a.apply(x) != *rhs) {
+              return Status::Fail(FailureKind::kVerifyMismatch, Stage::kVerify,
+                                  "A x != b");
+            }
           }
         }
-      }
-      res.x = std::move(x);
-      res.det = det_a;
-      res.charpoly_at = std::move(g);
-      return Status::Ok();
-    }();
-
-    diag.kind = st.kind();
-    diag.stage = st.stage();
-    diag.injected = st.injected();
-    diag.ops = ops.counts();
-    if (opt.collect_diag) res.diags.push_back(diag);
-
-    if (st.ok()) {
-      res.ok = true;
-      res.status = st;
-      return res;
-    }
-    last = st;
-
-    // A control failure is not bad luck: the caller stopped wanting the
-    // answer, so neither further attempts nor the dense fallback may run.
-    if (util::is_control_failure(st.kind())) {
-      res.status = st;
-      return res;
-    }
-
-    // Op budget: a pathologically expensive failed attempt stops the loop
-    // (the degraded baseline below takes over instead of re-rolling).
-    if (opt.op_budget_per_attempt != 0 &&
-        diag.ops.total() > opt.op_budget_per_attempt) {
-      last = Status::Fail(FailureKind::kOpBudgetExhausted, st.stage(),
-                          "attempt exceeded op_budget_per_attempt");
-      break;
-    }
-
-    // Stage-targeted retry: re-draw only the component the FailureKind
-    // implicates; everything else (verify mismatch, injected synthetic
-    // faults) restarts both.
-    bool want_pre, want_proj;
-    switch (st.kind()) {
-      case FailureKind::kDegenerateProjection:
-        want_pre = false;
-        want_proj = true;
-        break;
-      case FailureKind::kSingularPrecondition:
-      case FailureKind::kZeroConstantTerm:
-        want_pre = true;
-        want_proj = false;
-        break;
-      default:
-        want_pre = true;
-        want_proj = true;
-        break;
-    }
-    if (!want_pre && proj_alone) want_pre = true;    // escalate: pair implicated
-    if (!want_proj && pre_alone) want_proj = true;
-    if (want_pre && want_proj) {
-      pre_alone = proj_alone = false;
-      // Full restarts escalate |S|: estimate (2) halves the failure bound
-      // with every doubling (no-op once S already exceeds the field).
-      if (s < (std::uint64_t{1} << 62)) s *= 2;
-    } else if (want_proj) {
-      proj_alone = true;
-    } else {
-      pre_alone = true;
-    }
-    redraw_pre = want_pre;
-    redraw_proj = want_proj;
-  }
+        res.x = std::move(x);
+        res.det = det_a.take();
+        res.charpoly_at = std::move(g);
+        return Status::Ok();
+      });
+  res.ok = out.status.ok();
+  res.attempts = out.attempts;
+  res.status = out.status;
+  res.sample_size_used = out.sample_size;
+  if (res.ok || util::is_control_failure(out.status.kind())) return res;
 
   // Exhausted (or budget-stopped).  When the sample set could never carry
   // the est.-(2) bound, say so: the caller should route through the
   // section-5 field_lift extension (kp_solve_adaptive does).
-  res.status = last;
-  if (last.kind() != FailureKind::kOpBudgetExhausted &&
-      n < (std::uint64_t{1} << 30) && opt.sample_size < 3 * n * n) {
+  const bool budget_stop = out.status.kind() == FailureKind::kOpBudgetExhausted;
+  if (!budget_stop && n < (std::uint64_t{1} << 30) &&
+      opt.sample_size < 3 * n * n) {
     res.status = Status::Fail(
         FailureKind::kSampleSetTooSmall, Stage::kDraw,
         "card(S) < 3 n^2: use the section-5 extension lift");
   }
-
-  if (last.kind() == FailureKind::kOpBudgetExhausted || opt.dense_fallback) {
-    dense_fallback_run(f, a, rhs, res);
-  }
+  if (budget_stop || opt.dense_fallback) dense_fallback_run(f, a, rhs, res);
   return res;
 }
 

@@ -146,10 +146,6 @@ inline std::atomic<std::size_t>& cache_budget_ref() {
   return budget;
 }
 
-inline void set_cache_budget(std::size_t bytes) {
-  cache_budget_ref().store(bytes, std::memory_order_relaxed);
-}
-
 inline std::size_t cache_budget() {
   return cache_budget_ref().load(std::memory_order_relaxed);
 }
@@ -220,6 +216,14 @@ class SharedCache {
                        [](const V&) { return sizeof(V); });
   }
 
+  /// Unlinks LRU entries until the cache fits the current budget, keeping at
+  /// least one entry.  set_cache_budget calls it so a lowered budget takes
+  /// effect on a warm cache at once, not at its next miss.
+  void trim() {
+    std::lock_guard<std::mutex> lk(mu_);
+    evict_over_budget(nullptr);
+  }
+
   CacheStats stats() const {
     CacheStats s;
     s.hits = hits_.load(std::memory_order_relaxed);
@@ -262,10 +266,10 @@ class SharedCache {
     return out;
   }
 
-  /// Called with mu_ held, right after inserting `keep`.  Unlinks LRU nodes
-  /// until the cache fits the budget (the fresh node is exempt so a budget
-  /// smaller than one entry still makes forward progress), then frees
-  /// whatever retired nodes the reader count allows.
+  /// Called with mu_ held, right after inserting `keep` (nullptr from
+  /// trim).  Unlinks LRU nodes until the cache fits the budget (the fresh
+  /// node is exempt so a budget smaller than one entry still makes forward
+  /// progress), then frees whatever retired nodes the reader count allows.
   void evict_over_budget(const Node* keep) {
     const std::size_t budget = cache_budget();
     if (budget == 0) {
@@ -338,9 +342,14 @@ class SharedCache {
 };
 
 /// Cached primitive root per modulus (root search factors p-1, so cache it).
-inline std::uint64_t cached_primitive_root(std::uint64_t p) {
+inline SharedCache<std::uint64_t, std::uint64_t>& primitive_root_cache() {
   static SharedCache<std::uint64_t, std::uint64_t> cache;
-  return *cache.get_or_make(p, [p] { return kp::field::primitive_root(p); });
+  return cache;
+}
+
+inline std::uint64_t cached_primitive_root(std::uint64_t p) {
+  return *primitive_root_cache().get_or_make(
+      p, [p] { return kp::field::primitive_root(p); });
 }
 
 /// Twiddle powers w^k, k < n/2, for one (modulus, root, size) triple.
@@ -412,10 +421,15 @@ struct ScaleInverse {
   std::uint64_t n_inv_shoup;
 };
 
-inline ScaleInverse cached_scale_inverse(std::uint64_t p, std::size_t n) {
+inline SharedCache<std::array<std::uint64_t, 2>, ScaleInverse>&
+scale_inverse_cache() {
   static SharedCache<std::array<std::uint64_t, 2>, ScaleInverse> cache;
+  return cache;
+}
+
+inline ScaleInverse cached_scale_inverse(std::uint64_t p, std::size_t n) {
   const std::array<std::uint64_t, 2> key{p, static_cast<std::uint64_t>(n)};
-  return *cache.get_or_make(key, [&] {
+  return *scale_inverse_cache().get_or_make(key, [&] {
     const std::uint64_t n_inv =
         kp::field::detail::invmod(static_cast<std::uint64_t>(n % p), p);
     return ScaleInverse{n_inv, kp::field::fastmod::shoup_precompute(n_inv, p)};
@@ -605,6 +619,15 @@ void ntt_inplace(const F& f, std::vector<typename F::Element>& a,
 /// Hit/miss/eviction counters and live footprint of the process-wide
 /// twiddle-table cache -- the cache the KP_CACHE_BUDGET knob matters for.
 inline CacheStats twiddle_cache_stats() { return detail::twiddle_cache().stats(); }
+
+/// Sets the per-cache byte budget (0 = unlimited) and trims every
+/// process-wide cache to it at once.
+inline void set_cache_budget(std::size_t bytes) {
+  cache_budget_ref().store(bytes, std::memory_order_relaxed);
+  detail::primitive_root_cache().trim();
+  detail::twiddle_cache().trim();
+  detail::scale_inverse_cache().trim();
+}
 
 /// Runs B independent equal-size transforms, whole transforms per pooled
 /// worker.  Each entry must already be padded to the common power-of-two

@@ -171,13 +171,17 @@ class AttemptScope {
 /// RAII armed fault for tests: fires at the matching stage/attempt/site and
 /// disarms on destruction.  attempt/site_index of -1 are wildcards;
 /// one_shot=false keeps firing on every match (e.g. to exhaust a retry
-/// loop).
+/// loop).  Arming restarts the arming thread's site numbering at 0, so a
+/// site index addresses the same site whatever ran earlier on the thread
+/// outside an AttemptScope.
 class ScopedFault {
  public:
   explicit ScopedFault(Stage stage, int attempt = -1, int site_index = -1,
                        bool one_shot = true)
       : id_(detail::Registry::instance().arm(stage, attempt, site_index,
-                                             one_shot)) {}
+                                             one_shot)) {
+    detail::tls().hits = {};
+  }
   ~ScopedFault() { detail::Registry::instance().disarm(id_); }
   ScopedFault(const ScopedFault&) = delete;
   ScopedFault& operator=(const ScopedFault&) = delete;

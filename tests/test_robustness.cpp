@@ -202,7 +202,6 @@ TEST(ValidationTest, WiedemannRejectsDimensionMismatch) {
   auto res = core::wiedemann_solve_status(f, box, b_bad, prng, 1u << 20);
   EXPECT_FALSE(res.ok);
   EXPECT_EQ(res.status.kind(), FailureKind::kInvalidArgument);
-  EXPECT_FALSE(core::wiedemann_solve(f, box, b_bad, prng, 1u << 20));
 
   auto rect = matrix::random_matrix(f, 4, 6, prng);
   auto det = core::wiedemann_det(f, rect, prng, 1u << 20);
@@ -655,42 +654,57 @@ TEST(FaultInjectionTest, WiedemannSolveRetriesWithFreshProjection) {
 TEST(FaultInjectionTest, WiedemannDetTargetsTheImplicatedComponent) {
   KP_REQUIRE_FAULT_INJECTION();
   SolveFixture fx;
-  // Projection failure: fresh u, b only.
-  {
-    util::fault::ScopedFault fi(Stage::kProjection, /*attempt=*/1);
-    util::Prng prng(92);
-    auto res = core::wiedemann_det(f, fx.a, prng, 1u << 20);
-    ASSERT_TRUE(res.ok);
-    EXPECT_EQ(res.attempts, 2);
-    EXPECT_EQ(res.value, matrix::det_gauss(f, fx.a));
-    ASSERT_EQ(res.diags.size(), 2u);
-    EXPECT_TRUE(res.diags[1].redrew_projection);
-    EXPECT_FALSE(res.diags[1].redrew_precondition);
-    EXPECT_EQ(res.diags[1].precondition_seed, res.diags[0].precondition_seed);
-  }
-  // Charpoly failure (g(0) = 0): fresh H, D only.
-  {
-    util::fault::ScopedFault fi(Stage::kCharpoly, /*attempt=*/1);
-    util::Prng prng(93);
-    auto res = core::wiedemann_det(f, fx.a, prng, 1u << 20);
-    ASSERT_TRUE(res.ok);
-    EXPECT_EQ(res.attempts, 2);
-    EXPECT_EQ(res.value, matrix::det_gauss(f, fx.a));
-    ASSERT_EQ(res.diags.size(), 2u);
-    EXPECT_TRUE(res.diags[1].redrew_precondition);
-    EXPECT_FALSE(res.diags[1].redrew_projection);
-    EXPECT_EQ(res.diags[1].projection_seed, res.diags[0].projection_seed);
-  }
-  // Preconditioner-det failure (site in Preconditioner::det): fresh H, D.
-  {
-    util::fault::ScopedFault fi(Stage::kPrecondition, /*attempt=*/1);
-    util::Prng prng(94);
-    auto res = core::wiedemann_det(f, fx.a, prng, 1u << 20);
-    ASSERT_TRUE(res.ok);
-    EXPECT_EQ(res.attempts, 2);
-    ASSERT_EQ(res.diags.size(), 2u);
-    EXPECT_EQ(res.diags[0].kind, FailureKind::kSingularPrecondition);
-    EXPECT_TRUE(res.diags[1].redrew_precondition);
+  // The scalar route (Berlekamp-Massey) and the block route (sigma-basis,
+  // bw = 4) share one retry policy; only the projection's fault stage
+  // differs.
+  struct Route {
+    std::size_t block_width;
+    Stage projection;
+  };
+  for (const Route route : {Route{1, Stage::kProjection},
+                            Route{4, Stage::kBlockProjection}}) {
+    SCOPED_TRACE(route.block_width);
+    auto det = [&](std::uint64_t seed) {
+      util::Prng prng(seed);
+      return route.block_width == 1
+                 ? core::wiedemann_det(f, fx.a, prng, 1u << 20)
+                 : core::block_wiedemann_det(f, fx.a, prng, 1u << 20,
+                                             route.block_width);
+    };
+    // Projection failure: fresh u, b only.
+    {
+      util::fault::ScopedFault fi(route.projection, /*attempt=*/1);
+      auto res = det(92);
+      ASSERT_TRUE(res.ok);
+      EXPECT_EQ(res.attempts, 2);
+      EXPECT_EQ(res.value, matrix::det_gauss(f, fx.a));
+      ASSERT_EQ(res.diags.size(), 2u);
+      EXPECT_TRUE(res.diags[1].redrew_projection);
+      EXPECT_FALSE(res.diags[1].redrew_precondition);
+      EXPECT_EQ(res.diags[1].precondition_seed, res.diags[0].precondition_seed);
+    }
+    // Charpoly failure (g(0) = 0): fresh H, D only.
+    {
+      util::fault::ScopedFault fi(Stage::kCharpoly, /*attempt=*/1);
+      auto res = det(93);
+      ASSERT_TRUE(res.ok);
+      EXPECT_EQ(res.attempts, 2);
+      EXPECT_EQ(res.value, matrix::det_gauss(f, fx.a));
+      ASSERT_EQ(res.diags.size(), 2u);
+      EXPECT_TRUE(res.diags[1].redrew_precondition);
+      EXPECT_FALSE(res.diags[1].redrew_projection);
+      EXPECT_EQ(res.diags[1].projection_seed, res.diags[0].projection_seed);
+    }
+    // Preconditioner-det failure (site in Preconditioner::det): fresh H, D.
+    {
+      util::fault::ScopedFault fi(Stage::kPrecondition, /*attempt=*/1);
+      auto res = det(94);
+      ASSERT_TRUE(res.ok);
+      EXPECT_EQ(res.attempts, 2);
+      ASSERT_EQ(res.diags.size(), 2u);
+      EXPECT_EQ(res.diags[0].kind, FailureKind::kSingularPrecondition);
+      EXPECT_TRUE(res.diags[1].redrew_precondition);
+    }
   }
 }
 

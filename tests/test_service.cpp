@@ -262,6 +262,26 @@ TEST(SessionTest, RationalSessionPinsPrimesAcrossSolves) {
 }
 
 #if KP_FAULT_INJECTION_ENABLED
+TEST(SessionTest, PrepareRedrawsTranscriptAfterProjectionFault) {
+  Fixture fx(16);
+  Session<F> sess(f, fx.box(), 5);
+  util::fault::ScopedFault fi(Stage::kProjection, /*attempt=*/1);
+  ASSERT_TRUE(sess.prepare().ok());
+  EXPECT_EQ(fi.fired(), 1u);
+  const auto& d = sess.prepare_diags();
+  ASSERT_EQ(d.size(), 2u);
+  EXPECT_EQ(d[0].kind, FailureKind::kDegenerateProjection);
+  EXPECT_TRUE(d[0].injected);
+  // One re-drawable component: the retry is a full restart on a fresh
+  // stream with |S| doubled.
+  EXPECT_EQ(d[1].kind, FailureKind::kNone);
+  EXPECT_TRUE(d[1].redrew_precondition);
+  EXPECT_TRUE(d[1].redrew_projection);
+  EXPECT_NE(d[1].precondition_seed, d[0].precondition_seed);
+  EXPECT_EQ(d[1].sample_size, 2 * d[0].sample_size);
+  EXPECT_EQ(sess.det(), matrix::det_gauss(f, fx.a.to_dense(f)));
+}
+
 TEST(SessionTest, QuarantineTripsOnMismatchStreakAndResets) {
   Fixture fx(16);
   SessionOptions opt;
