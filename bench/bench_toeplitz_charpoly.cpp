@@ -8,7 +8,10 @@
 //   2. the same for Berkowitz (O(n^4)) and Faddeev-LeVerrier (O(n^4)) on the
 //      dense copy, including the work crossover;
 //   3. size and depth of the recorded Theorem-3 circuit vs n (depth must
-//      grow polylogarithmically).
+//      grow polylogarithmically);
+//   4. det of a random Hankel matrix: the Theorem-3 toeplitz_det through the
+//      row mirror against the O(n^2) Berlekamp-Massey recurrence
+//      (seq::hankel_det), which the sequential det(H D) uses.
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "matrix/matpoly.h"
 #include "poly/ntt.h"
 #include "pram/parallel_for.h"
+#include "seq/berlekamp_massey.h"
 #include "seq/newton_toeplitz.h"
 #include "util/bench_json.h"
 #include "util/op_count.h"
@@ -95,6 +99,45 @@ int main() {
   std::vector<double> bns(ns.begin(), ns.begin() + static_cast<std::ptrdiff_t>(berk_ops.size()));
   std::printf("fitted work exponent (berkowitz):       %.2f   (theory: 4)\n\n",
               kp::util::fit_exponent(bns, berk_ops));
+
+  std::printf("Hankel determinant: Theorem 3 vs Berlekamp-Massey recurrence\n\n");
+  kp::util::Table th({"n", "theorem-3 ops", "theorem-3 ms", "recurrence ops",
+                      "recurrence ms", "speedup"});
+  for (std::size_t n : {64u, 128u, 256u, 1024u}) {
+    std::vector<F::Element> h(2 * n - 1);
+    for (auto& v : h) v = f.random(prng);
+    const kp::matrix::Hankel<F> hk(n, h);
+
+    kp::util::WallTimer w3;
+    kp::util::OpScope s3;
+    auto det3 = kp::seq::toeplitz_det(f, hk.row_mirror_toeplitz());
+    if (hk.mirror_det_sign() < 0) det3 = f.neg(det3);
+    const auto ops3 = s3.counts().total();
+    const double ms3 = w3.elapsed_ms();
+
+    kp::util::WallTimer wr;
+    kp::util::OpScope sr;
+    const auto detr = kp::seq::hankel_det(f, h);
+    const auto opsr = sr.counts().total();
+    const double msr = wr.elapsed_ms();
+    if (!detr || *detr != det3) {
+      std::printf("HANKEL DET MISMATCH at n=%zu\n", n);
+      return 1;
+    }
+    report.begin_row("E5_hankel_det");
+    report.put("n", n);
+    report.put("ops_theorem3", ops3);
+    report.put("wall_ms_theorem3", ms3);
+    report.put("ops_recurrence", opsr);
+    report.put("wall_ms_recurrence", msr);
+    report.put("speedup", ms3 / msr);
+    th.add_row({std::to_string(n), kp::util::Table::num(ops3),
+                kp::util::Table::num(ms3, 4), kp::util::Table::num(opsr),
+                kp::util::Table::num(msr, 3), kp::util::Table::num(ms3 / msr, 3)});
+  }
+  th.print();
+  std::printf("\nSame det(H) in both columns; Theorem 3 is kept where circuit\n"
+              "depth matters (depth_optimal), the recurrence is O(n) deep.\n\n");
 
   std::printf("Theorem-3 circuit size and depth (recorded program):\n\n");
   kp::util::Table tc({"n", "size", "depth", "size/n^2", "depth/log2(n)^2"});

@@ -149,16 +149,19 @@ util::Status check_charpoly(const F& f,
 }
 
 /// det(A) = (-1)^n g(0) / det(H D) from the charpoly g of A-tilde = A H D.
-/// det(H D) can only vanish on an unlucky draw (g(0) != 0 already rules out
-/// the composite), but the zero check guards the division regardless; the
+/// det(H D) comes from Preconditioner::det: the O(n^2) Hankel recurrence, or
+/// Theorem 3 when depth_optimal asks for a polylog-depth circuit.  It can
+/// only vanish on an unlucky draw (g(0) != 0 already rules out the
+/// composite), but the zero check guards the division regardless; the
 /// Preconditioner::det fault site reaches it.
 template <kp::field::Field F>
 util::StatusOr<typename F::Element> det_from_charpoly(
     const F& f, const Preconditioner<F>& pre,
     const std::vector<typename F::Element>& g,
     seq::NewtonIdentityMethod newton =
-        seq::NewtonIdentityMethod::kTriangularSolve) {
-  const auto det_hd = pre.det(f, newton);
+        seq::NewtonIdentityMethod::kTriangularSolve,
+    bool depth_optimal = false) {
+  const auto det_hd = pre.det(f, newton, depth_optimal);
   if (f.is_zero(det_hd)) {
     return util::Status::Fail(util::FailureKind::kSingularPrecondition,
                               util::Stage::kPrecondition, "det(H D) = 0");

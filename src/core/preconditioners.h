@@ -8,12 +8,16 @@
 // >= 1 - n(2n-2)/|S|; together with Lemma 2 this gives the paper's combined
 // failure bound 3n^2/|S| (estimate (2)).
 //
-// det(H) is recovered with the Theorem-3 Toeplitz machinery through the
-// row-mirror trick of section 4, so the whole pipeline stays within the
-// stated complexity.
+// det(H) comes from the O(n^2) Berlekamp-Massey leading-minor recurrence
+// (seq::hankel_det).  The Theorem-3 Toeplitz determinant, through the
+// row-mirror trick of section 4, remains for depth_optimal runs -- under a
+// symbolic field the recurrence would record an O(n)-deep program and lose
+// Theorem 4's O(log^2 n) depth -- and for the rare draw whose leading minors
+// leave the recurrence undetermined.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "field/concepts.h"
@@ -21,6 +25,7 @@
 #include "matrix/dense.h"
 #include "matrix/structured.h"
 #include "poly/poly.h"
+#include "seq/berlekamp_massey.h"
 #include "seq/newton_toeplitz.h"
 #include "util/fault.h"
 #include "util/prng.h"
@@ -85,18 +90,24 @@ struct Preconditioner {
     return hankel.apply(ring, diagonal.apply(f, y));
   }
 
-  /// det(H * D).  det(H) goes through the Toeplitz row-mirror and Theorem 3;
-  /// det(D) is a product of the diagonal entries.
+  /// det(H * D).  det(H) goes through the O(n^2) Hankel recurrence, or --
+  /// when depth_optimal is set or the recurrence is undetermined -- through
+  /// the Toeplitz row-mirror and Theorem 3 (`method` picks its
+  /// Newton-identity solve); det(D) is a product of the diagonal entries.
   typename F::Element det(const F& f,
                           seq::NewtonIdentityMethod method =
-                              seq::NewtonIdentityMethod::kTriangularSolve) const {
+                              seq::NewtonIdentityMethod::kTriangularSolve,
+                          bool depth_optimal = false) const {
     // Fault site: a zero return exercises the caller's det(H D) = 0 branch,
     // which cannot trigger organically once g(0) != 0 is established.
     if (KP_FAULT_POINT(util::Stage::kPrecondition)) return f.zero();
-    const auto t = hankel.row_mirror_toeplitz();
-    auto det_t = seq::toeplitz_det(f, t, method);
-    if (hankel.mirror_det_sign() < 0) det_t = f.neg(det_t);
-    return f.mul(det_t, diagonal.det(f));
+    std::optional<typename F::Element> det_h;
+    if (!depth_optimal) det_h = seq::hankel_det(f, hankel.entries());
+    if (!det_h) {
+      det_h = seq::toeplitz_det(f, hankel.row_mirror_toeplitz(), method);
+      if (hankel.mirror_det_sign() < 0) det_h = f.neg(*det_h);
+    }
+    return f.mul(*det_h, diagonal.det(f));
   }
 };
 

@@ -220,8 +220,8 @@ class Session {
               f_, seq, n_, opt_.solver, ring_, g);
           if (!gst.ok()) return gst;
 
-          auto det =
-              detail::det_from_charpoly(f_, *pre_, g, opt_.solver.newton);
+          auto det = detail::det_from_charpoly(f_, *pre_, g, opt_.solver.newton,
+                                               opt_.solver.depth_optimal);
           if (!det.ok()) return det.status();
           det_ = det.take();
           q_ = solution_combination(f_, g);

@@ -14,8 +14,10 @@
 //   4. c is w.h.p. the characteristic polynomial of A-tilde     [est. (2)];
 //      Cayley-Hamilton on A-tilde (through the Krylov block of b) gives
 //      x-tilde = A-tilde^{-1} b, and x = H D x-tilde.
-//   5. det(A) = (-1)^n g(0) / (det(H) det(D)), det(H) via the row-mirror
-//      Toeplitz and Theorem 3.
+//   5. det(A) = (-1)^n g(0) / (det(H) det(D)), det(H) by the O(n^2)
+//      Berlekamp-Massey leading-minor recurrence on H's entries; under
+//      depth_optimal (or on the rare undetermined draw) via the row-mirror
+//      Toeplitz and Theorem 3, whose polylog depth the circuit keeps.
 //
 // Every stage touches A only through matrix-vector products, so kp_solve /
 // kp_det accept any matrix::LinOp; dense matrix::Matrix<F> call sites keep
@@ -406,7 +408,8 @@ SolveResult<F> theorem4_run(const F& f, const B& a,
             !ctl.ok()) {
           return ctl;
         }
-        auto det_a = det_from_charpoly(f, *pre, g, opt.newton);
+        auto det_a =
+            det_from_charpoly(f, *pre, g, opt.newton, opt.depth_optimal);
         if (!det_a.ok()) return det_a.status();
 
         std::vector<E> x;

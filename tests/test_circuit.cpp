@@ -463,6 +463,29 @@ TEST(BuildersTest, NttStructuredCircuitEvaluatesCorrectly) {
   }
 }
 
+TEST(BuildersTest, CircuitSizeAndDepthArePinned) {
+  // depth_optimal circuits keep Theorem 3 for det(H): the O(n^2) Hankel
+  // recurrence would record an O(n)-deep program.  These sizes and depths
+  // pin that branch.
+  struct Expect {
+    std::size_t n, solver_size, solver_depth, det_size, det_depth,
+        inverse_size, inverse_depth;
+  };
+  for (const Expect& e : {Expect{2, 536, 49, 511, 42, 989, 73},
+                          Expect{4, 9037, 88, 8758, 79, 15242, 136},
+                          Expect{8, 164573, 142, 161458, 131, 270172, 223}}) {
+    const auto s = circuit::build_solver_circuit(e.n);
+    const auto d = circuit::build_det_circuit(e.n);
+    const auto i = circuit::build_inverse_circuit(e.n);
+    EXPECT_EQ(s.size(), e.solver_size) << e.n;
+    EXPECT_EQ(s.depth(), e.solver_depth) << e.n;
+    EXPECT_EQ(d.size(), e.det_size) << e.n;
+    EXPECT_EQ(d.depth(), e.det_depth) << e.n;
+    EXPECT_EQ(i.size(), e.inverse_size) << e.n;
+    EXPECT_EQ(i.depth(), e.inverse_depth) << e.n;
+  }
+}
+
 TEST(BuildersTest, SolverCircuitDepthIsPolylog) {
   // The depth should grow far slower than the size: check that depth at
   // n=8 stays within a small factor of depth at n=4 while size grows ~8x.

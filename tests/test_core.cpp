@@ -21,6 +21,7 @@
 #include "field/zp.h"
 #include "matrix/blackbox.h"
 #include "matrix/gauss.h"
+#include "seq/berlekamp_massey.h"
 #include "seq/newton_toeplitz.h"
 #include "util/prng.h"
 
@@ -107,11 +108,40 @@ TEST(PreconditionerTest, DenseProductMatchesExplicit) {
 }
 
 TEST(PreconditionerTest, DetMatchesGauss) {
+  // The default det(H D) (Hankel recurrence) against Gaussian elimination and
+  // the depth_optimal one (Theorem 3).  |S| = 5 makes H's leading minors
+  // vanish often, so the undetermined-recurrence fallback runs too.
   util::Prng prng(5);
-  for (std::size_t n : {1u, 2u, 5u, 9u}) {
-    auto pre = core::Preconditioner<F>::draw(f, n, prng, 1u << 20);
+  int fallbacks = 0;
+  for (int draw = 0; draw < 200; ++draw) {
+    const std::size_t n = 1 + static_cast<std::size_t>(draw) % 10;
+    const std::uint64_t s = draw % 2 == 0 ? 5 : 1u << 20;
+    auto pre = core::Preconditioner<F>::draw(f, n, prng, s);
     auto expect = f.mul(matrix::det_gauss(f, pre.hankel.to_dense(f)),
                         pre.diagonal.det(f));
+    EXPECT_EQ(pre.det(f), expect) << draw;
+    EXPECT_EQ(pre.det(f, seq::NewtonIdentityMethod::kTriangularSolve, true),
+              expect)
+        << draw;
+    if (!seq::hankel_det(f, pre.hankel.entries())) ++fallbacks;
+  }
+  EXPECT_GT(fallbacks, 0);
+}
+
+TEST(PreconditionerTest, AntiIdentityHankelTakesTheFallback) {
+  // h = e_{n-1}: H is nonsingular with h_0 = 0, so the recurrence is
+  // undetermined and det(H D) must come from Theorem 3.
+  for (std::size_t n = 2; n <= 9; ++n) {
+    std::vector<F::Element> h(2 * n - 1, f.zero());
+    h[n - 1] = f.one();
+    std::vector<F::Element> d(n);
+    for (std::size_t i = 0; i < n; ++i) d[i] = f.from_int(std::int64_t(i) + 2);
+    const core::Preconditioner<F> pre{matrix::Hankel<F>(n, h),
+                                      matrix::Diagonal<F>(d)};
+    ASSERT_FALSE(seq::hankel_det(f, h).has_value()) << n;
+    const auto expect = f.mul(matrix::det_gauss(f, pre.hankel.to_dense(f)),
+                              pre.diagonal.det(f));
+    EXPECT_FALSE(f.is_zero(expect)) << n;
     EXPECT_EQ(pre.det(f), expect) << n;
   }
 }

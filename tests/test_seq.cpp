@@ -1,7 +1,7 @@
 // Tests for the sequence substrate: linearly generated sequences and
-// Lemma 1, Berlekamp-Massey, Newton identities (both methods), the
-// Gohberg-Semencul representation (Figure 1), and the section-3
-// Newton-on-Toeplitz characteristic polynomial (Theorem 3).
+// Lemma 1, Berlekamp-Massey and its Hankel-determinant recurrence, Newton
+// identities (both methods), the Gohberg-Semencul representation (Figure 1),
+// and the section-3 Newton-on-Toeplitz characteristic polynomial (Theorem 3).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -179,6 +179,119 @@ TEST(BerlekampMasseyTest, WorksOverGF256) {
   auto seq = seq::sequence_with_minpoly(gf, mp, seed, 8);
   auto found = seq::berlekamp_massey(gf, seq);
   EXPECT_TRUE(seq::generates(gf, found, seq));
+}
+
+// ---------------------------------------------------------------------------
+// Hankel determinant by the Berlekamp-Massey leading-minor recurrence.
+
+/// The n x n Hankel matrix H(i, j) = h_{i+j} of 2n - 1 entries.
+template <class Fld>
+matrix::Hankel<Fld> hankel_of(const std::vector<typename Fld::Element>& h) {
+  return matrix::Hankel<Fld>((h.size() + 1) / 2, h);
+}
+
+/// det H through the section-4 row mirror and the Theorem-3 determinant.
+template <class Fld>
+typename Fld::Element hankel_det_theorem3(
+    const Fld& fld, const std::vector<typename Fld::Element>& h) {
+  const auto hk = hankel_of<Fld>(h);
+  const auto d = seq::toeplitz_det(fld, hk.row_mirror_toeplitz());
+  return hk.mirror_det_sign() < 0 ? fld.neg(d) : d;
+}
+
+/// det of the leading k x k block of H.
+template <class Fld>
+typename Fld::Element leading_minor(const Fld& fld,
+                                    const std::vector<typename Fld::Element>& h,
+                                    std::size_t k) {
+  Matrix<Fld> m(k, k, fld.zero());
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < k; ++j) m.at(i, j) = h[i + j];
+  }
+  return matrix::det_gauss(fld, m);
+}
+
+TEST(HankelDetTest, MatchesGaussAndTheorem3OverNttPrime) {
+  const field::GFp g(field::kNttPrime);
+  util::Prng prng(30);
+  for (std::size_t n = 1; n <= 64; ++n) {
+    std::vector<field::GFp::Element> h(2 * n - 1);
+    for (auto& e : h) e = g.random(prng);
+    const auto det = seq::hankel_det(g, h);
+    ASSERT_TRUE(det.has_value()) << n;
+    EXPECT_EQ(*det, matrix::det_gauss(g, hankel_of<field::GFp>(h).to_dense(g)))
+        << n;
+    EXPECT_EQ(*det, hankel_det_theorem3(g, h)) << n;
+  }
+}
+
+TEST(HankelDetTest, SmallFieldsDetermineExactlyWhenLeadingMinorsSurvive) {
+  // Over tiny fields the leading minors vanish often.  The recurrence must
+  // be undetermined exactly when some H_k (k < n) is singular, and otherwise
+  // equal det_gauss -- including det H = 0 from a zero last discrepancy.
+  for (const std::uint64_t p : {3u, 5u, 7u, 101u}) {
+    const field::GFp g(p);
+    util::Prng prng(31 + p);
+    int last_zero = 0, undetermined = 0;
+    for (std::size_t n = 1; n <= 9; ++n) {
+      for (int draw = 0; draw < 400; ++draw) {
+        std::vector<field::GFp::Element> h(2 * n - 1);
+        for (auto& e : h) e = g.random(prng);
+        bool minors_survive = true;
+        for (std::size_t k = 1; k < n && minors_survive; ++k) {
+          minors_survive = !g.is_zero(leading_minor(g, h, k));
+        }
+        const auto det = seq::hankel_det(g, h);
+        ASSERT_EQ(det.has_value(), minors_survive) << p << " " << n;
+        if (!det) {
+          ++undetermined;
+          continue;
+        }
+        const auto expect = leading_minor(g, h, n);
+        ASSERT_EQ(*det, expect) << p << " " << n;
+        if (g.is_zero(expect)) ++last_zero;
+        // Theorem 3 divides by 2..n; cross-check where that is defined.
+        if (field::supports_leverrier(g, n)) {
+          ASSERT_EQ(*det, hankel_det_theorem3(g, h)) << p << " " << n;
+        }
+      }
+    }
+    EXPECT_GT(last_zero, 0) << p;
+    EXPECT_GT(undetermined, 0) << p;
+  }
+}
+
+TEST(HankelDetTest, AntiIdentityIsUndeterminedButNonsingular) {
+  // h = e_{n-1}: H is the anti-identity, det = (-1)^{n(n-1)/2} != 0, yet
+  // h_0 = 0 stops the recurrence at its first step for n >= 2.
+  for (std::size_t n = 1; n <= 16; ++n) {
+    std::vector<F::Element> h(2 * n - 1, f.zero());
+    h[n - 1] = f.one();
+    const auto expect = matrix::det_gauss(f, hankel_of<F>(h).to_dense(f));
+    EXPECT_FALSE(f.is_zero(expect)) << n;
+    EXPECT_EQ(hankel_det_theorem3(f, h), expect) << n;
+    const auto det = seq::hankel_det(f, h);
+    if (n == 1) {
+      ASSERT_TRUE(det.has_value());
+      EXPECT_EQ(*det, expect);
+    } else {
+      EXPECT_FALSE(det.has_value()) << n;
+    }
+  }
+}
+
+TEST(HankelDetTest, AllZeroHankel) {
+  for (std::size_t n = 1; n <= 12; ++n) {
+    const std::vector<F::Element> h(2 * n - 1, f.zero());
+    EXPECT_EQ(hankel_det_theorem3(f, h), f.zero()) << n;
+    const auto det = seq::hankel_det(f, h);
+    if (n == 1) {
+      ASSERT_TRUE(det.has_value());  // the only minor is the last one
+      EXPECT_EQ(*det, f.zero());
+    } else {
+      EXPECT_FALSE(det.has_value()) << n;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
