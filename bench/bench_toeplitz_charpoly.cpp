@@ -11,9 +11,17 @@
 //      grow polylogarithmically);
 //   4. det of a random Hankel matrix: the Theorem-3 toeplitz_det through the
 //      row mirror against the O(n^2) Berlekamp-Massey recurrence
-//      (seq::hankel_det), which the sequential det(H D) uses.
+//      (seq::hankel_det), which the sequential det(H D) uses;
+//   5. the transform layer's worker sweep and cache ablation (n = 256..1024)
+//      and the hot-path kernels at n >= 2048.
+//
+// Exits 1 when Theorem 3 disagrees with Berkowitz or Faddeev-LeVerrier, or
+// the two Hankel determinants differ.  `--quick` keeps series 1-3 and the
+// Hankel rows up to n = 256 and skips series 5: under a second on a 4-vCPU
+// Intel Xeon host, so CI runs it as a correctness gate.
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "circuit/builders.h"
@@ -41,7 +49,11 @@ std::vector<double> tail(const std::vector<double>& v) {
 
 using F = kp::field::GFp;  // NTT-friendly prime: fast bivariate mult
 
-int main() {
+int main(int argc, char** argv) {
+  bool quick = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+  }
   F f(kp::field::kNttPrime);
   kp::util::Prng prng(42);
   kp::util::BenchReport report("toeplitz_charpoly");
@@ -103,7 +115,10 @@ int main() {
   std::printf("Hankel determinant: Theorem 3 vs Berlekamp-Massey recurrence\n\n");
   kp::util::Table th({"n", "theorem-3 ops", "theorem-3 ms", "recurrence ops",
                       "recurrence ms", "speedup"});
-  for (std::size_t n : {64u, 128u, 256u, 1024u}) {
+  const std::vector<std::size_t> hankel_ns =
+      quick ? std::vector<std::size_t>{64, 128, 256}
+            : std::vector<std::size_t>{64, 128, 256, 1024};
+  for (const std::size_t n : hankel_ns) {
     std::vector<F::Element> h(2 * n - 1);
     for (auto& v : h) v = f.random(prng);
     const kp::matrix::Hankel<F> hk(n, h);
@@ -166,6 +181,7 @@ int main() {
               kp::util::fit_exponent(tail(cns), tail(sizes)));
   std::printf("fitted depth exponent: %.2f  (polylog: exponent must be ~0)\n",
               kp::util::fit_exponent(tail(cns), tail(depths)));
+  if (quick) return 0;
 
   // Transform layer (batched ntt_many + TransformedPoly caching): wall-clock
   // across worker counts, and forward transforms avoided by operand caching.

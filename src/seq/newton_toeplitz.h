@@ -5,8 +5,12 @@
 //   1. Run Newton's iteration (3)  X <- X (2I - B X)  on B = T(lambda) =
 //      I - lambda*T, over truncated power series, maintaining only the FIRST
 //      and LAST columns of X_i through the Gohberg-Semencul formula (5)/(6).
-//      After ceil(log2(n+1)) steps X = (I - lambda T)^{-1} mod lambda^{n+1}
-//      = sum_i T^i lambda^i.
+//      A column exact mod lambda^p leaves a residual lambda^p c with c a
+//      constant vector, so the step to precision 2p is done at HALF
+//      precision (one Gohberg-Semencul apply over K[[lambda]]/lambda^p),
+//      and an odd target precision takes one Neumann step x <- e_1 +
+//      lambda T x.  After fewer than 2 log2(n+1) steps in all,
+//      X = (I - lambda T)^{-1} mod lambda^{n+1} = sum_i T^i lambda^i.
 //   2. Read off Trace(X) mod lambda^{n+1} = sum_i Trace(T^i) lambda^i with
 //      the O(n) Gohberg-Semencul trace formula: the power sums s_i.
 //   3. Solve the Newton-identity system (Leverrier/Csanky step) for the
@@ -42,21 +46,25 @@ struct ToeplitzSeriesInverse {
 };
 
 /// Runs the section-3 Newton iteration.  `t` is n x n; `prec` is the series
-/// truncation (n+1 for the characteristic polynomial).
+/// truncation (n+1 for the characteristic polynomial).  The precision
+/// schedule is top-down: q comes from q/2 when even, from q-1 when odd.  A
+/// column x exact mod lambda^p has residual e - (I - lambda T) x = lambda^p c
+/// with c = T [lambda^{p-1}] x, so x_true = x + lambda^p X c: the step to 2p
+/// applies X mod lambda^p (Gohberg-Semencul at half precision), the Neumann
+/// step to p+1 appends c itself.  T stays over K, so its cached symbol
+/// spectrum serves every step.
 template <kp::field::Field F>
 ToeplitzSeriesInverse<F> toeplitz_series_inverse(const F& f,
                                                  const matrix::Toeplitz<F>& t,
                                                  std::size_t prec) {
   using SR = kp::poly::TruncSeriesRing<F>;
   using SE = typename SR::Element;
+  using Vec = std::vector<typename F::Element>;
   const std::size_t n = t.dim();
 
-  // X_0 = I: first column e_1, last column e_n (constant series).
+  // X_0 = I: first column e_1, last column e_n (constant series), exact
+  // mod lambda^1.
   std::vector<SE> x(n), y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = SE{};
-    y[i] = SE{};
-  }
   x[0] = SE{f.one()};
   y[n - 1] = SE{f.one()};
 
@@ -68,9 +76,11 @@ ToeplitzSeriesInverse<F> toeplitz_series_inverse(const F& f,
   // O(log^2 n) circuit depth.
   kp::poly::PolyRing<F> fring(f);
   SE u1_inv{f.one()};
-  // Refines u1_inv to accuracy `target` against the current x[0].  x0 is
-  // the fixed factor of both Newton steps, so its forward transform is
-  // cached across them (op counts charged as if recomputed).
+  // Refines u1_inv to accuracy `target` against the current x[0].  Every
+  // target is at most 2h+1 <= 4h for the previous target h, so two
+  // quadratically converging steps suffice.  x0 is the fixed factor of both
+  // steps, so its forward transform is cached across them (op counts
+  // charged as if recomputed).
   auto refine_u1_inv = [&](std::size_t target) {
     const kp::poly::TransformedPoly<F> x0(fring, fring.truncate(x[0], target));
     for (int step = 0; step < 2; ++step) {
@@ -80,53 +90,56 @@ ToeplitzSeriesInverse<F> toeplitz_series_inverse(const F& f,
     }
   };
 
-  for (std::size_t p = 1; p < prec;) {
-    p = std::min(2 * p, prec);
-    SR sr(f, p);
-    kp::poly::PolyRing<SR> biv(sr);
-    // u1_inv must satisfy u1_inv * x[0] = 1 mod lambda^p EXACTLY (not just
-    // to the columns' accuracy): the Gohberg-Semencul reconstruction's
-    // first column is (y_n * u1_inv) * x, and the Newton step only gains
-    // precision when that prefactor is 1 mod lambda^p.
-    refine_u1_inv(p);
-
-    // B = I - lambda*T as a Toeplitz matrix over the series ring.
-    std::vector<SE> b(2 * n - 1);
-    for (std::size_t k = 0; k < 2 * n - 1; ++k) {
-      SE e;
-      if (!f.eq(t.diagonals()[k], f.zero())) {
-        e = SE{f.zero(), f.neg(t.diagonals()[k])};  // -lambda * t_k
-      }
-      if (k == n - 1) e = sr.add(e, sr.one());  // + identity diagonal
-      b[k] = std::move(e);
+  std::vector<std::size_t> schedule;
+  for (std::size_t q = prec; q > 1; q = (q % 2 == 0) ? q / 2 : q - 1) {
+    schedule.push_back(q);
+  }
+  // Coefficient [lambda^k] of every entry of a column.
+  auto top = [&](const std::vector<SE>& col, std::size_t k) {
+    Vec out(n, f.zero());
+    for (std::size_t i = 0; i < n; ++i) {
+      if (k < col[i].size()) out[i] = col[i][k];
     }
-    const matrix::Toeplitz<SR> bt(n, std::move(b));
+    return out;
+  };
+  // col += lambda^p * hi (col has lambda-degree < p, hi entries are stripped).
+  auto append = [&](std::vector<SE>& col, std::size_t p,
+                    const std::vector<SE>& hi) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (hi[i].empty()) continue;
+      col[i].resize(p, f.zero());
+      col[i].insert(col[i].end(), hi[i].begin(), hi[i].end());
+    }
+  };
 
-    // Gohberg-Semencul view of the previous iterate (valid mod lambda^{p/2};
-    // u1_inv is accurate to the previous precision, which suffices).
-    GohbergSemencul<SR> gs{x, y, u1_inv};
-
-    // col_1(X_new) = 2x - X (B x);   col_n(X_new) = 2y - X (B y).
-    // Both columns advance through the SAME fixed operators, so the round
-    // is batched: bt's symbol and the four Gohberg-Semencul generator
-    // transforms are each forward-transformed once and shared across the
-    // pair, and the varying-side transforms of the batch run in parallel.
-    const CachedGsApplier<SR> xinv(biv, gs);
-    auto bcols = bt.apply_many(biv, {&x, &y});
-    auto xbcols = xinv.apply_many(biv, {&bcols[0], &bcols[1]});
-    const SE two = sr.from_int(2);
-    auto combine = [&](const std::vector<SE>& col,
-                       const std::vector<SE>& xbcol) {
-      std::vector<SE> out(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = sr.sub(sr.mul(two, col[i]), xbcol[i]);
-      }
-      return out;
-    };
-    auto nx = combine(x, xbcols[0]);
-    auto ny = combine(y, xbcols[1]);
-    x = std::move(nx);
-    y = std::move(ny);
+  std::size_t p = 1;
+  for (auto it = schedule.rbegin(); it != schedule.rend(); ++it) {
+    const std::size_t q = *it;
+    const Vec xt = top(x, p - 1), yt = top(y, p - 1);
+    const auto c = t.apply_many(fring, {&xt, &yt});
+    std::vector<SE> cx(n), cy(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!f.eq(c[0][i], f.zero())) cx[i] = SE{c[0][i]};
+      if (!f.eq(c[1][i], f.zero())) cy[i] = SE{c[1][i]};
+    }
+    // A Neumann step (q = p+1) appends c itself: X mod lambda^1 = I.
+    if (q != p + 1) {
+      // Newton step at half precision.  u1_inv must satisfy
+      // u1_inv * x[0] = 1 mod lambda^p EXACTLY: the Gohberg-Semencul
+      // reconstruction's first column is (y_n * u1_inv) * x.  Both columns
+      // are corrected through the SAME fixed operator, so its four
+      // generator transforms are shared across the pair.
+      refine_u1_inv(p);
+      SR sr(f, p);
+      kp::poly::PolyRing<SR> biv(sr);
+      const CachedGsApplier<SR> xinv(biv, GohbergSemencul<SR>{x, y, u1_inv});
+      auto corr = xinv.apply_many(biv, {&cx, &cy});
+      cx = std::move(corr[0]);
+      cy = std::move(corr[1]);
+    }
+    append(x, p, cx);
+    append(y, p, cy);
+    p = q;
   }
   // Final catch-up against the final first column.
   refine_u1_inv(prec);
@@ -175,6 +188,32 @@ typename F::Element toeplitz_det(
   return (t.dim() % 2 == 0) ? p0 : f.neg(p0);
 }
 
+namespace detail {
+
+/// The Cayley-Hamilton combination T^{-1} b = scale * sum_{k>=1} p_k T^{k-1} b
+/// for the characteristic polynomial p of T and scale = -1/p_0: n-1
+/// Toeplitz-vector products, O(n M(n)) work.
+template <kp::field::Field F>
+std::vector<typename F::Element> cayley_hamilton_solve(
+    const F& f, const matrix::Toeplitz<F>& t,
+    const std::vector<typename F::Element>& p,
+    const typename F::Element& scale, std::vector<typename F::Element> b,
+    const kp::poly::PolyRing<F>& ring) {
+  const std::size_t n = t.dim();
+  std::vector<typename F::Element> acc(n, f.zero());
+  for (std::size_t k = 1; k <= n; ++k) {
+    if (k > 1) b = t.apply(ring, b);
+    if (f.eq(p[k], f.zero())) continue;
+    for (std::size_t i = 0; i < n; ++i) {
+      acc[i] = f.add(acc[i], f.mul(p[k], b[i]));
+    }
+  }
+  for (auto& e : acc) e = f.mul(e, scale);
+  return acc;
+}
+
+}  // namespace detail
+
 /// Solves T x = b for a non-singular Toeplitz matrix via Cayley-Hamilton:
 /// with p(T) = 0, T^{-1} = -(1/p_0) sum_{k>=1} p_k T^{k-1}, so x is a
 /// matrix-polynomial apply using Toeplitz-vector products (O(n M(n)) work).
@@ -192,19 +231,7 @@ std::vector<typename F::Element> toeplitz_solve_charpoly(
   if (KP_FAULT_POINT(kp::util::Stage::kNewtonToeplitz) || f.is_zero(p[0])) {
     return {};
   }
-  // acc = sum_{k>=1} p_k T^{k-1} b, then x = -acc / p_0.
-  std::vector<typename F::Element> w = b;
-  std::vector<typename F::Element> acc(n, f.zero());
-  for (std::size_t k = 1; k <= n; ++k) {
-    if (k > 1) w = t.apply(ring, w);
-    if (f.eq(p[k], f.zero())) continue;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc[i] = f.add(acc[i], f.mul(p[k], w[i]));
-    }
-  }
-  const auto scale = f.neg(f.inv(p[0]));
-  for (auto& e : acc) e = f.mul(e, scale);
-  return acc;
+  return detail::cayley_hamilton_solve(f, t, p, f.neg(f.inv(p[0])), b, ring);
 }
 
 /// Status-carrying form of toeplitz_solve_charpoly: distinguishes the
@@ -248,42 +275,28 @@ std::optional<GohbergSemencul<F>> gs_from_toeplitz(
     return std::nullopt;  // singular
   }
   const auto scale = f.neg(f.inv(p[0]));
-
-  // x = T^{-1} b = -(1/p_0) sum_{k>=1} p_k T^{k-1} b.
-  auto solve = [&](std::vector<typename F::Element> b) {
-    std::vector<typename F::Element> acc(n, f.zero());
-    for (std::size_t k = 1; k <= n; ++k) {
-      if (k > 1) b = t.apply(ring, b);
-      if (f.eq(p[k], f.zero())) continue;
-      for (std::size_t i = 0; i < n; ++i) {
-        acc[i] = f.add(acc[i], f.mul(p[k], b[i]));
-      }
-    }
-    for (auto& e : acc) e = f.mul(e, scale);
-    return acc;
-  };
-
   std::vector<typename F::Element> e1(n, f.zero()), en(n, f.zero());
   e1[0] = f.one();
   en[n - 1] = f.one();
-  auto u = solve(std::move(e1));
+  auto u = detail::cayley_hamilton_solve(f, t, p, scale, std::move(e1), ring);
   if (KP_FAULT_POINT(kp::util::Stage::kGohbergSemencul) ||
       f.is_zero(u[0])) {
     return std::nullopt;  // (T^{-1})_{1,1} = 0
   }
-  auto y = solve(std::move(en));
+  auto y = detail::cayley_hamilton_solve(f, t, p, scale, std::move(en), ring);
   auto u1_inv = f.inv(u[0]);
   return GohbergSemencul<F>{std::move(u), std::move(y), std::move(u1_inv)};
 }
 
 /// Minimum polynomial of a linearly generated sequence by the PARALLEL
-/// route of Lemma 1: binary-search the largest mu with det(T_mu) != 0
-/// through the Theorem-3 determinant (O(log n) independent determinant
-/// evaluations, each NC^2), then one Toeplitz solve for the coefficients.
-/// The sequential counterpart is Berlekamp-Massey; the two are checked
-/// against each other in the tests.  Needs seq[0..2*max_degree-1] and
-/// char(K) = 0 or > max_degree; assumes the determinant pattern of Lemma 1
-/// (valid for every linearly generated sequence).
+/// route of Lemma 1: scan mu down from max_degree for the largest mu with
+/// det(T_mu) != 0 through the Theorem-3 determinant (up to max_degree
+/// determinant evaluations, each NC^2 and independent of the others), then
+/// one Toeplitz solve for the coefficients.  The sequential counterpart is
+/// Berlekamp-Massey; the two are checked against each other in the tests.
+/// Needs seq[0..2*max_degree-1] and char(K) = 0 or > max_degree; assumes the
+/// determinant pattern of Lemma 1 (valid for every linearly generated
+/// sequence).
 template <kp::field::Field F>
 std::vector<typename F::Element> minpoly_parallel(
     const F& f, const std::vector<typename F::Element>& seq,

@@ -471,9 +471,9 @@ TEST(BuildersTest, CircuitSizeAndDepthArePinned) {
     std::size_t n, solver_size, solver_depth, det_size, det_depth,
         inverse_size, inverse_depth;
   };
-  for (const Expect& e : {Expect{2, 536, 49, 511, 42, 989, 73},
-                          Expect{4, 9037, 88, 8758, 79, 15242, 136},
-                          Expect{8, 164573, 142, 161458, 131, 270172, 223}}) {
+  for (const Expect& e : {Expect{2, 254, 38, 229, 31, 526, 49},
+                          Expect{4, 2681, 68, 2402, 59, 5278, 101},
+                          Expect{8, 32817, 114, 29702, 103, 61084, 178}}) {
     const auto s = circuit::build_solver_circuit(e.n);
     const auto d = circuit::build_det_circuit(e.n);
     const auto i = circuit::build_inverse_circuit(e.n);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "field/gfpk.h"
@@ -19,6 +20,7 @@
 #include "seq/linear_gen.h"
 #include "seq/newton_identities.h"
 #include "seq/newton_toeplitz.h"
+#include "util/op_count.h"
 #include "util/prng.h"
 
 namespace kp {
@@ -398,24 +400,63 @@ TEST(GohbergSemenculTest, TraceFormula) {
 
 TEST(NewtonToeplitzTest, SeriesInverseMatchesNeumannSeries) {
   // (I - lambda T)^{-1} = sum_i T^i lambda^i; check the first and last
-  // columns coefficient by coefficient.
-  util::Prng prng(12);
-  for (std::size_t n : {1u, 2u, 3u, 5u, 8u}) {
-    const std::size_t prec = n + 1;
-    auto t = random_toeplitz(n, prng);
+  // columns coefficient by coefficient.  The precisions cover Neumann-only
+  // chains (2, 3), Newton-only chains (4, 16), mixed ones (7, 9, 33, 2n+1)
+  // and prec > n+1, which the Chistov route of core/small_char.h uses.  The
+  // lower shift matrix is nilpotent, so its columns end in zero
+  // coefficients.
+  auto check = [](const Toeplitz<F>& t, std::size_t prec) {
+    const std::size_t n = t.dim();
     auto inv = seq::toeplitz_series_inverse(f, t, prec);
     auto dense = t.to_dense(f);
     auto pw = matrix::identity_matrix(f, n);
+    poly::TruncSeriesRing<F> sr(f, prec);
     for (std::size_t k = 0; k < prec; ++k) {
-      poly::TruncSeriesRing<F> sr(f, prec);
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_EQ(sr.coeff(inv.first_col[i], k), pw.at(i, 0))
-            << "n=" << n << " k=" << k << " i=" << i;
+            << "n=" << n << " prec=" << prec << " k=" << k << " i=" << i;
         EXPECT_EQ(sr.coeff(inv.last_col[i], k), pw.at(i, n - 1))
-            << "n=" << n << " k=" << k << " i=" << i;
+            << "n=" << n << " prec=" << prec << " k=" << k << " i=" << i;
       }
       pw = matrix::mat_mul(f, pw, dense);
     }
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_LE(inv.first_col[i].size(), prec) << "n=" << n << " prec=" << prec;
+      EXPECT_LE(inv.last_col[i].size(), prec) << "n=" << n << " prec=" << prec;
+    }
+    // u1_inv * u_1 = 1 mod lambda^prec exactly.
+    EXPECT_EQ(sr.mul(inv.u1_inv, inv.first_col[0]), sr.one())
+        << "n=" << n << " prec=" << prec;
+  };
+  util::Prng prng(12);
+  for (std::size_t n : {1u, 2u, 3u, 5u, 8u}) {
+    std::vector<F::Element> shift(2 * n - 1, f.zero());
+    if (n > 1) shift[n] = f.one();
+    for (std::size_t prec : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                             std::size_t{4}, std::size_t{7}, std::size_t{9},
+                             std::size_t{16}, std::size_t{33}, n + 1,
+                             2 * n + 1}) {
+      check(random_toeplitz(n, prng), prec);
+      check(Toeplitz<F>(n, shift), prec);
+    }
+  }
+}
+
+TEST(NewtonToeplitzTest, CharpolyOpCountsArePinned) {
+  // Logical op counts do not depend on the SIMD level, the worker count or
+  // the transform caches, so exact pins are safe; they move only when the
+  // Theorem-3 schedule itself changes.
+  const field::GFp g(field::kNttPrime);
+  util::Prng prng(17);
+  for (const auto& [n, ops] : {std::pair<std::size_t, std::uint64_t>{16, 352751},
+                               std::pair<std::size_t, std::uint64_t>{64, 8401563}}) {
+    std::vector<field::GFp::Element> diag(2 * n - 1);
+    for (auto& v : diag) v = g.random(prng);
+    const Toeplitz<field::GFp> t(n, std::move(diag));
+    util::OpScope scope;
+    const auto p = seq::toeplitz_charpoly(g, t);
+    EXPECT_EQ(scope.counts().total(), ops) << "n=" << n;
+    EXPECT_EQ(p.size(), n + 1);
   }
 }
 
