@@ -1,8 +1,9 @@
 // Per-dispatch-level ablation of the SIMD kernel backend (field/simd.h).
 //
-// Every kernel family (dot, sum, gather, batch_inverse, NTT product) is
-// timed with the backend pinned to each available level -- scalar, AVX2,
-// AVX-512, AVX-512+IFMA -- over the same inputs.  The bit-identity contract
+// Every kernel family (dot, sum, gather, batch_inverse, NTT product, and
+// the classical matrix product, one thread) is timed with the backend
+// pinned to each available level -- scalar, AVX2, AVX-512, AVX-512+IFMA --
+// over the same inputs.  The bit-identity contract
 // is asserted in-bench: each row carries an FNV-1a checksum of the output
 // elements, and every level's checksum must equal the scalar kernel's.
 // Those checksums land in BENCH_simd.json, so a forced-scalar build
@@ -10,6 +11,7 @@
 // be diffed for byte-identical element checksums across configurations.
 //
 // Exits non-zero on any mismatch; timing is reported, never gated.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -19,7 +21,9 @@
 #include "field/reference.h"
 #include "field/simd.h"
 #include "field/zp.h"
+#include "matrix/matmul.h"
 #include "poly/ntt.h"
+#include "pram/parallel_for.h"
 #include "util/bench_json.h"
 #include "util/op_count.h"
 #include "util/prng.h"
@@ -108,21 +112,27 @@ int main() {
 
   // One output buffer per kernel family; the scalar row fixes the expected
   // checksum, every later level must reproduce it.
+  // `shape` (rows x K x cols) labels matmul rows; the others report n.
   auto add_row = [&](const char* kernel, const char* level, std::size_t n,
                      double scalar_ms, double ms, std::uint64_t checksum,
-                     std::uint64_t scalar_checksum) {
+                     std::uint64_t scalar_checksum,
+                     const std::string& shape = "") {
     const bool match = checksum == scalar_checksum;
     check(match, kernel);
     const double speedup = ms > 0 ? scalar_ms / ms : 0;
     char hex[32];
     std::snprintf(hex, sizeof hex, "%016llx",
                   static_cast<unsigned long long>(checksum));
-    table.add_row({kernel, level, std::to_string(n),
+    table.add_row({kernel, level, shape.empty() ? std::to_string(n) : shape,
                    kp::util::Table::num(ms, 3), kp::util::Table::num(speedup, 2),
                    hex, match ? "yes" : "NO"});
     report.begin_row(kernel);
     report.put("level", level);
-    report.put("n", n);
+    if (shape.empty()) {
+      report.put("n", n);
+    } else {
+      report.put("shape", shape);
+    }
     report.put("ms", ms);
     report.put("speedup_vs_scalar", speedup);
     report.put("checksum", std::string(hex));
@@ -205,6 +215,45 @@ int main() {
       add_row(fam.name, l.name, n, scalar_ms, ms, sum, scalar_sum);
     }
   }
+
+  // Classical matrix products on one thread: the Krylov-doubling shapes of
+  // a dense n = 128 solve (square, and the narrow block extension) plus a
+  // smaller square.  The scalar level is the per-entry strided dot loop.
+  // These rows report ms per product, not per `iters` calls.
+  struct Shape {
+    std::size_t rows, k, cols;
+    int iters;
+  };
+  auto& ctx = kp::pram::ExecutionContext::global();
+  ctx.set_worker_limit(1);
+  for (const Shape& sh : {Shape{128, 128, 128, 10}, Shape{128, 128, 16, 40},
+                          Shape{64, 64, 64, 40}}) {
+    kp::matrix::Matrix<Fast> a(sh.rows, sh.k, 0), b(sh.k, sh.cols, 0);
+    const auto ra = random_residues(p, sh.rows * sh.k, 6);
+    const auto rb = random_residues(p, sh.k * sh.cols, 7);
+    std::copy(ra.begin(), ra.end(), a.data().begin());
+    std::copy(rb.begin(), rb.end(), b.data().begin());
+    const std::string shape = std::to_string(sh.rows) + "x" +
+                              std::to_string(sh.k) + "x" +
+                              std::to_string(sh.cols);
+    double scalar_ms = 0;
+    std::uint64_t scalar_sum = 0;
+    for (const auto& l : kLevels) {
+      if (!enter_level(l)) continue;
+      kp::matrix::Matrix<Fast> c(0, 0, 0);
+      const double ms = time_ms([&] {
+        for (int it = 0; it < sh.iters; ++it) c = kp::matrix::mat_mul(fast, a, b);
+      }) / sh.iters;
+      const std::uint64_t sum = fnv1a(c.data().data(), c.data().size());
+      if (l.level == SimdLevel::kScalar) {
+        scalar_ms = ms;
+        scalar_sum = sum;
+      }
+      add_row("matmul", l.name, sh.rows * sh.k * sh.cols, scalar_ms, ms, sum,
+              scalar_sum, shape);
+    }
+  }
+  ctx.set_worker_limit(0);
 
   simd::set_simd_level(simd::simd_max_level());
   simd::set_simd_ifma(true);

@@ -168,6 +168,26 @@ std::uint64_t dot_skip_zero(const F& f, const std::uint64_t* a,
   return bar.reduce_full(acc);
 }
 
+/// Row of a matrix product, c[j] = sum_k a[k] * b[k * m + j] for j < m
+/// (b row-major k x m).  Each output is charged what
+/// dot_skip_zero(a, b + j, k, m) charges -- nnz(a) multiplications and
+/// nnz - 1 additions -- whether the vector outer-product body or that
+/// per-entry loop computes it.
+template <FastField F>
+void matmul_row(const F& f, const std::uint64_t* a, const std::uint64_t* b,
+                std::uint64_t* c, std::size_t k, std::size_t m) {
+  if (simd::matmul_row(FieldKernels<F>::barrett(f), a, b, c, k, m)) {
+    std::size_t nnz = 0;
+    for (std::size_t i = 0; i < k; ++i) nnz += a[i] != 0;
+    if (nnz > 0) {
+      kp::util::count_muls(nnz * m);
+      kp::util::count_adds((nnz - 1) * m);
+    }
+    return;
+  }
+  for (std::size_t j = 0; j < m; ++j) c[j] = dot_skip_zero(f, a, b + j, k, m);
+}
+
 /// Gathered inner product sum_k val[k] * x[col[k]] with the CSR apply's
 /// linear-chain accounting (n multiplications and n additions: the
 /// reference folds the first term into a zero accumulator).

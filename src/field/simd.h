@@ -2,12 +2,14 @@
 //
 // This header sits BENEATH field/kernels.h: each entry point here is a
 // vectorized rendition of one delayed-reduction kernel (dot, sum, gathered
-// dot, zero-skipping dot, Montgomery batched inversion) or of one NTT hot
-// loop (Harvey lazy butterfly level, [0,4p) normalization, pointwise Barrett
-// product, Shoup scale).  Every function returns `true` only when it fully
-// handled the request with BIT-IDENTICAL results to the scalar path; callers
-// keep their scalar loop as the fallback, so a `false` return (unsupported
-// CPU, forced-scalar build, small n, strided operands) costs one branch.
+// dot, zero-skipping dot, batched CSR row, matrix-product row, Montgomery
+// batched inversion), of one NTT hot loop (Harvey lazy butterfly level,
+// [0,4p) normalization, pointwise Barrett product, Shoup scale) or of one
+// elementwise lane loop (add, sub, neg, mul, submul).  Every function
+// returns `true` only when it fully handled the request with BIT-IDENTICAL
+// results to the scalar path; callers keep their scalar loop as the
+// fallback, so a `false` return (unsupported CPU, forced-scalar build,
+// small n, strided operands) costs one branch.
 //
 // WHY BIT-IDENTITY IS FREE HERE: every kernel's contract is a canonical
 // residue in [0, p) (or, for the lazy butterflies, the exact same
@@ -26,9 +28,11 @@
 //              (dot, sum, zero-skipping dot).  For ~64-bit moduli AVX2 has
 //              no 64x64 multiplier, so the 4-limb scheme roughly ties the
 //              scalar mulx loop; it wins clearly for p <= 2^29.
-//   kAvx512 -- x86-64: 8x64 lanes (F+DQ for vpmullq); all entry points.
-//              With AVX-512 IFMA the dot kernels use 52-bit-split
-//              vpmadd52 accumulation, the fastest path for any p < 2^63.
+//   kAvx512 -- x86-64: 8x64 lanes (F+DQ for vpmullq); all entry points
+//              but matmul_row.  With AVX-512 IFMA the dot kernels use
+//              52-bit-split vpmadd52 accumulation, the fastest path for any
+//              p < 2^63, and matmul_row accumulates output rows as outer
+//              products (the only level that has it).
 //
 // The level is detected once (cpuid via __builtin_cpu_supports), can be
 // capped by the KP_SIMD environment variable (off|scalar|neon|avx2|avx512),
@@ -226,6 +230,8 @@ inline void set_simd_ifma(bool on) {
 struct SimdStats {
   const char* level = "scalar";
   bool ifma = false;
+  /// Stride-1 dots plus matmul_row's outer-product groups (kdim groups per
+  /// 8 output columns of a row).
   std::uint64_t dot = 0;
   std::uint64_t sum = 0;
   std::uint64_t gather = 0;
@@ -299,6 +305,18 @@ inline u64 fold_ifma(const fastmod::Barrett& bar, u128 s0, u128 s52, u128 s104,
   r104 = bar.reduce_full(static_cast<u128>(r104) << 52);
   r104 = bar.reduce_full(static_cast<u128>(r104) << 52);
   return bar.reduce_full(static_cast<u128>(acc) + r0 + r52 + r104);
+}
+
+/// Folds ONE lane of 52-bit-split accumulators into a canonical running
+/// value, with r52 = 2^52 mod p and r104 = 2^104 mod p precomputed by the
+/// caller: each weighted term is then a single product < 2^126, so the sum
+/// fits u128 and the fold is three reductions instead of fold_ifma's six.
+inline u64 fold_ifma_lane(const fastmod::Barrett& bar, u64 s0, u128 s52,
+                          u128 s104, u64 r52, u64 r104, u64 acc) {
+  return bar.reduce_full(
+      static_cast<u128>(acc) + s0 +
+      static_cast<u128>(bar.reduce_full(s52)) * r52 +
+      static_cast<u128>(bar.reduce_full(s104)) * r104);
 }
 
 /// Scalar delayed-reduction tail: folds a[i]*b[i], i in [i, n), into the
@@ -438,6 +456,102 @@ KP_TGT_AVX512IFMA inline u64 dot_ifma_512(const fastmod::Barrett& bar,
     acc = fold_ifma(bar, s0, s52, s104, acc);
   }
   return dot_tail(bar, a, b, i, n, acc);
+}
+
+// ---- matmul row bodies ----------------------------------------------------
+
+/// Outer-product accumulation of up to 16 output columns of one product
+/// row: c[l] = sum_k a[k] * b[k * m + l], l < cols.  Each k multiplies the
+/// broadcast a[k] into the 8-lane slices of row k of B with dot_ifma_512's
+/// 52-bit split and seven accumulators per 8 lanes, two groups in flight
+/// when kTwo.  Every lane is its own output, so there are no horizontal
+/// sums: lanes are folded every kIfmaBlock iterations.  Zero a[k] are
+/// skipped (they add nothing); masks cover the column tail.
+template <bool kTwo>
+KP_TGT_AVX512IFMA inline void matmul_cols_ifma_512(
+    const fastmod::Barrett& bar, const u64* a, const u64* b, std::size_t kdim,
+    std::size_t m, std::size_t cols, u64 r52, u64 r104, u64* c) {
+  const auto tail_mask = [](std::size_t r) {
+    return r >= 8 ? __mmask8{0xff} : static_cast<__mmask8>((1u << r) - 1);
+  };
+  const __mmask8 ma = tail_mask(cols);
+  const __mmask8 mb = kTwo ? tail_mask(cols - 8) : __mmask8{0};
+  const __m512i zero = _mm512_setzero_si512();
+  u64 acc[16] = {};
+  std::size_t k = 0;
+  while (k < kdim) {
+    const std::size_t end = kdim - k > kIfmaBlock ? k + kIfmaBlock : kdim;
+    __m512i w0a = zero, w52a0 = zero, w52a1 = zero, w52a2 = zero;
+    __m512i w104a0 = zero, w104a1 = zero, w104a2 = zero;
+    __m512i w0b = zero, w52b0 = zero, w52b1 = zero, w52b2 = zero;
+    __m512i w104b0 = zero, w104b1 = zero, w104b2 = zero;
+    for (; k < end; ++k) {
+      if (a[k] == 0) continue;
+      const __m512i al = _mm512_set1_epi64(static_cast<long long>(a[k]));
+      const __m512i ah = _mm512_set1_epi64(static_cast<long long>(a[k] >> 52));
+      const u64* row = b + k * m;
+      const __m512i vb = _mm512_maskz_loadu_epi64(ma, row);
+      const __m512i vb1 = _mm512_srli_epi64(vb, 52);
+      w0a = _mm512_madd52lo_epu64(w0a, al, vb);
+      w52a0 = _mm512_madd52hi_epu64(w52a0, al, vb);
+      w52a1 = _mm512_madd52lo_epu64(w52a1, al, vb1);
+      w52a2 = _mm512_madd52lo_epu64(w52a2, ah, vb);
+      w104a0 = _mm512_madd52hi_epu64(w104a0, al, vb1);
+      w104a1 = _mm512_madd52hi_epu64(w104a1, ah, vb);
+      w104a2 = _mm512_madd52lo_epu64(w104a2, ah, vb1);
+      if constexpr (kTwo) {
+        const __m512i vd = _mm512_maskz_loadu_epi64(mb, row + 8);
+        const __m512i vd1 = _mm512_srli_epi64(vd, 52);
+        w0b = _mm512_madd52lo_epu64(w0b, al, vd);
+        w52b0 = _mm512_madd52hi_epu64(w52b0, al, vd);
+        w52b1 = _mm512_madd52lo_epu64(w52b1, al, vd1);
+        w52b2 = _mm512_madd52lo_epu64(w52b2, ah, vd);
+        w104b0 = _mm512_madd52hi_epu64(w104b0, al, vd1);
+        w104b1 = _mm512_madd52hi_epu64(w104b1, ah, vd);
+        w104b2 = _mm512_madd52lo_epu64(w104b2, ah, vd1);
+      }
+    }
+    alignas(64) u64 t[7][16];
+    _mm512_store_si512(reinterpret_cast<__m512i*>(t[0]), w0a);
+    _mm512_store_si512(reinterpret_cast<__m512i*>(t[1]), w52a0);
+    _mm512_store_si512(reinterpret_cast<__m512i*>(t[2]), w52a1);
+    _mm512_store_si512(reinterpret_cast<__m512i*>(t[3]), w52a2);
+    _mm512_store_si512(reinterpret_cast<__m512i*>(t[4]), w104a0);
+    _mm512_store_si512(reinterpret_cast<__m512i*>(t[5]), w104a1);
+    _mm512_store_si512(reinterpret_cast<__m512i*>(t[6]), w104a2);
+    _mm512_store_si512(reinterpret_cast<__m512i*>(t[0] + 8), w0b);
+    _mm512_store_si512(reinterpret_cast<__m512i*>(t[1] + 8), w52b0);
+    _mm512_store_si512(reinterpret_cast<__m512i*>(t[2] + 8), w52b1);
+    _mm512_store_si512(reinterpret_cast<__m512i*>(t[3] + 8), w52b2);
+    _mm512_store_si512(reinterpret_cast<__m512i*>(t[4] + 8), w104b0);
+    _mm512_store_si512(reinterpret_cast<__m512i*>(t[5] + 8), w104b1);
+    _mm512_store_si512(reinterpret_cast<__m512i*>(t[6] + 8), w104b2);
+    for (std::size_t l = 0; l < cols; ++l) {
+      acc[l] = fold_ifma_lane(
+          bar, t[0][l], static_cast<u128>(t[1][l]) + t[2][l] + t[3][l],
+          static_cast<u128>(t[4][l]) + t[5][l] + t[6][l], r52, r104, acc[l]);
+    }
+  }
+  for (std::size_t l = 0; l < cols; ++l) c[l] = acc[l];
+}
+
+/// Whole product row, 16 columns at a time, then the < 16 column tail.
+KP_TGT_AVX512IFMA inline void matmul_row_ifma_512(const fastmod::Barrett& bar,
+                                                  const u64* a, const u64* b,
+                                                  u64* c, std::size_t kdim,
+                                                  std::size_t m) {
+  const u64 r52 = bar.reduce_full(static_cast<u128>(1) << 52);
+  const u64 r104 = bar.reduce_full(static_cast<u128>(1) << 104);
+  std::size_t j = 0;
+  for (; j + 16 <= m; j += 16) {
+    matmul_cols_ifma_512<true>(bar, a, b + j, kdim, m, 16, r52, r104, c + j);
+  }
+  const std::size_t rem = m - j;
+  if (rem > 8) {
+    matmul_cols_ifma_512<true>(bar, a, b + j, kdim, m, rem, r52, r104, c + j);
+  } else if (rem > 0) {
+    matmul_cols_ifma_512<false>(bar, a, b + j, kdim, m, rem, r52, r104, c + j);
+  }
 }
 
 /// 8x64 dot via 4 32-bit limbs per product (no 64-bit multiplier needed).
@@ -1451,6 +1565,32 @@ inline bool dot_skip_zero(const fastmod::Barrett& bar, const u64* a,
   (void)n;
   (void)out;
   (void)nnz;
+  return false;
+#endif
+}
+
+/// One row of a matrix product by outer-product accumulation:
+/// c[j] = sum_k a[k] * b[k * m + j] for j < m, with b row-major kdim x m.
+/// AVX-512 IFMA only (any p < 2^63), and only for rows at least one vector
+/// group wide: narrower products keep the caller's per-entry dot loop,
+/// whose m = 1 case is already a stride-1 vector dot.  Counted in the dot
+/// stats as kdim 8-lane groups per 8 output columns.
+inline bool matmul_row(const fastmod::Barrett& bar, const u64* a, const u64* b,
+                       u64* c, std::size_t kdim, std::size_t m) {
+#if defined(KP_SIMD_X86)
+  if (m < 8 || simd_level() != SimdLevel::kAvx512 || !simd_ifma()) {
+    return false;
+  }
+  detail::matmul_row_ifma_512(bar, a, b, c, kdim, m);
+  detail::bump(detail::stat_counters().dot, kdim * ((m + 7) / 8));
+  return true;
+#else
+  (void)bar;
+  (void)a;
+  (void)b;
+  (void)c;
+  (void)kdim;
+  (void)m;
   return false;
 #endif
 }

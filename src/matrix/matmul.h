@@ -6,6 +6,13 @@
 // practical algorithm".  Both kernels are provided behind a strategy enum;
 // every higher-level cost (Krylov doubling, Theorem 4/6 totals) inherits the
 // chosen exponent, which the comparison benches measure empirically.
+//
+// Over word-sized prime fields the classical kernel (and so Strassen's base
+// case) computes one output row at a time with kernels::matmul_row: on
+// AVX-512 IFMA hardware it accumulates the row as a sum of outer products
+// a[i][k] * B[k, :], 16 columns per pass with one reduction per output;
+// elsewhere it is one delayed-reduction dot per entry.  Values and op
+// counts are the same either way.
 #pragma once
 
 #include <cassert>
@@ -22,25 +29,23 @@ enum class MatMulStrategy {
 
 namespace detail {
 
-/// Classical kernel; each output entry is a balanced-tree inner product so
-/// the corresponding circuit has depth O(log n), as the paper's model needs.
-/// Output rows are independent, so large products fan out row-by-row onto
-/// the pooled ExecutionContext with identical per-row arithmetic (results
-/// are bit-identical for every worker count).
+/// Classical kernel.  Output rows are independent, so large products fan
+/// out row-by-row onto the pooled ExecutionContext with identical per-row
+/// arithmetic (results are bit-identical for every worker count).
+/// Word-sized prime fields compute a row at a time with
+/// kernels::matmul_row (vector outer-product accumulation where the
+/// dispatch level has it, delayed-reduction dots otherwise).  Every other
+/// ring takes the generic loop, where each output entry is a balanced-tree
+/// inner product so the corresponding circuit has depth O(log n), as the
+/// paper's model needs.  Both paths skip zero a-entries and charge one
+/// multiplication per nonzero term.
 template <kp::field::CommutativeRing R>
 Matrix<R> mul_classical(const R& r, const Matrix<R>& a, const Matrix<R>& b) {
   Matrix<R> out(a.rows(), b.cols(), r.zero());
   if constexpr (kp::field::kernels::FastField<R>) {
-    // Fused delayed-reduction inner products with the same zero-skip as the
-    // generic loop below (one multiplication charged per nonzero a-entry).
-    const std::size_t stride = b.cols();
     auto fast_row = [&](std::size_t i) {
-      const auto* arow = a.row(i);
-      auto* orow = out.row(i);
-      for (std::size_t j = 0; j < b.cols(); ++j) {
-        orow[j] = kp::field::kernels::dot_skip_zero(
-            r, arow, b.data().data() + j, a.cols(), stride);
-      }
+      kp::field::kernels::matmul_row(r, a.row(i), b.data().data(), out.row(i),
+                                     a.cols(), b.cols());
     };
     if (kp::field::concurrent_ops_v<R> &&
         a.rows() * a.cols() * b.cols() >= kParallelGrain) {

@@ -2,9 +2,12 @@
 //
 // Every structured-matrix apply in the library is "multiply a FIXED
 // polynomial by a varying one": the Toeplitz/Hankel symbol against the
-// current vector (2n products per Krylov run), the Gohberg-Semencul
-// generator columns against each right-hand side, the Newton-iteration
-// factor against both update terms of its level.  The plain ring.mul path
+// current vector (2n products per Krylov run); in each Theorem-3 Newton
+// step, each constant correction vector against the lambda^k slices of the
+// Gohberg-Semencul generators, 1/u_1 against the generator entries, and
+// the two scaled lower-triangular generators against both columns'
+// stage-1 results; the Newton-iteration factor against both update terms
+// of its level.  The plain ring.mul path
 // forward-transforms both operands every time, so the fixed side pays
 // O(n log n) work per product for a spectrum that never changes.
 //

@@ -126,134 +126,6 @@ struct GohbergSemencul {
   }
 };
 
-/// Applies one FIXED Gohberg-Semencul representation to many vectors.
-///
-/// The four polynomial operands of GohbergSemencul::apply -- u, v =
-/// reverse(y), the shifted y and the reverse-shifted u -- are invariants of
-/// the representation, so this wrapper pins them as TransformedPoly
-/// (poly/transform_cache.h): each product pays one forward NTT (the varying
-/// side) instead of two, and apply_many batches the varying-side transforms
-/// of a whole set of right-hand sides over the pool.  Values and logical op
-/// counts are exactly those of GohbergSemencul::apply per vector.
-template <kp::field::CommutativeRing R>
-class CachedGsApplier {
- public:
-  using Element = typename R::Element;
-
-  CachedGsApplier(const kp::poly::PolyRing<R>& ring,
-                  const GohbergSemencul<R>& gs)
-      : n_(gs.dim()), u1_inv_(gs.u1_inv) {
-    const R& r = ring.base();
-    std::vector<Element> v(gs.last_col.rbegin(), gs.last_col.rend());
-    std::vector<Element> y_shift(n_, r.zero());
-    std::vector<Element> u_revshift(n_, r.zero());
-    for (std::size_t i = 1; i < n_; ++i) {
-      y_shift[i] = gs.last_col[i - 1];
-      u_revshift[i] = gs.first_col[n_ - i];
-    }
-    first_col_ = make(ring, gs.first_col);
-    v_ = make(ring, std::move(v));
-    y_shift_ = make(ring, std::move(y_shift));
-    u_revshift_ = make(ring, std::move(u_revshift));
-  }
-
-  std::size_t dim() const { return n_; }
-
-  /// T^{-1} z, as GohbergSemencul::apply.
-  std::vector<Element> apply(const kp::poly::PolyRing<R>& ring,
-                             const std::vector<Element>& z) const {
-    return std::move(apply_many(ring, {&z})[0]);
-  }
-
-  /// T^{-1} z_k for every z_k, batching each of the four triangular product
-  /// stages across the whole set.
-  std::vector<std::vector<Element>> apply_many(
-      const kp::poly::PolyRing<R>& ring,
-      const std::vector<const std::vector<Element>*>& zs) const {
-    const R& r = ring.base();
-    const std::size_t m = zs.size();
-    using Poly = typename kp::poly::PolyRing<R>::Element;
-
-    // Stage 1: the two upper-triangular products U(v) z and U(u-revshift) z
-    // share the reversed-and-stripped right-hand side.
-    std::vector<Poly> zr(m);
-    std::vector<const Poly*> zr_ptr(m);
-    for (std::size_t k = 0; k < m; ++k) {
-      assert(zs[k]->size() == n_);
-      zr[k].assign(zs[k]->rbegin(), zs[k]->rend());
-      ring.strip(zr[k]);
-      zr_ptr[k] = &zr[k];
-    }
-    auto uv = finish_upper(ring, v_.mul_many(ring, zr_ptr));
-    auto uu = finish_upper(ring, u_revshift_.mul_many(ring, zr_ptr));
-
-    // Stage 2: the lower-triangular products on the stage-1 results.
-    auto t1 = finish_lower(ring, first_col_, uv);
-    auto t2 = finish_lower(ring, y_shift_, uu);
-
-    std::vector<std::vector<Element>> out(m);
-    for (std::size_t k = 0; k < m; ++k) {
-      out[k].assign(n_, r.zero());
-      for (std::size_t i = 0; i < n_; ++i) {
-        out[k][i] = r.mul(u1_inv_, r.sub(t1[k][i], t2[k][i]));
-      }
-    }
-    return out;
-  }
-
- private:
-  using Transformed = kp::poly::TransformedPoly<R>;
-  using Poly = typename kp::poly::PolyRing<R>::Element;
-
-  static Transformed make(const kp::poly::PolyRing<R>& ring, Poly w) {
-    ring.strip(w);
-    return Transformed(ring, std::move(w));
-  }
-
-  /// Upper-tri windows: out_i = prod[n-1-i].
-  std::vector<std::vector<Element>> finish_upper(
-      const kp::poly::PolyRing<R>& ring, std::vector<Poly>&& prods) const {
-    std::vector<std::vector<Element>> out(prods.size());
-    for (std::size_t k = 0; k < prods.size(); ++k) {
-      out[k].assign(n_, ring.base().zero());
-      for (std::size_t i = 0; i < n_; ++i) {
-        out[k][i] = ring.coeff(prods[k], n_ - 1 - i);
-      }
-    }
-    return out;
-  }
-
-  /// Lower-tri products of a fixed w against stage-1 results, windowed to
-  /// out_i = prod[i].
-  std::vector<std::vector<Element>> finish_lower(
-      const kp::poly::PolyRing<R>& ring, const Transformed& w,
-      const std::vector<std::vector<Element>>& ins) const {
-    std::vector<Poly> stripped(ins.size());
-    std::vector<const Poly*> ptrs(ins.size());
-    for (std::size_t k = 0; k < ins.size(); ++k) {
-      stripped[k] = ins[k];
-      ring.strip(stripped[k]);
-      ptrs[k] = &stripped[k];
-    }
-    auto prods = w.mul_many(ring, ptrs);
-    std::vector<std::vector<Element>> out(ins.size());
-    for (std::size_t k = 0; k < ins.size(); ++k) {
-      out[k].assign(n_, ring.base().zero());
-      for (std::size_t i = 0; i < n_; ++i) {
-        out[k][i] = ring.coeff(prods[k], i);
-      }
-    }
-    return out;
-  }
-
-  std::size_t n_;
-  Element u1_inv_;
-  Transformed first_col_;
-  Transformed v_;
-  Transformed y_shift_;
-  Transformed u_revshift_;
-};
-
 /// Builds the representation for a Toeplitz matrix over a *field* by solving
 /// T u = e_1 and T y = e_n with Gaussian elimination -- the O(n^3) reference
 /// constructor; the O(n^2 polylog)-work route is gs_from_toeplitz below.

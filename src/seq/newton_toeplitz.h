@@ -27,12 +27,110 @@
 #include "field/concepts.h"
 #include "matrix/structured.h"
 #include "poly/poly.h"
+#include "poly/transform_cache.h"
 #include "seq/gohberg_semencul.h"
 #include "seq/newton_identities.h"
 #include "util/fault.h"
 #include "util/status.h"
 
 namespace kp::seq {
+
+namespace detail {
+
+/// X c_k mod lambda^p for CONSTANT vectors c_k (over F), where X is the
+/// Gohberg-Semencul matrix with first column x, last column y and
+/// u1_inv = 1/x_0, all mod lambda^p:
+///   X c = u1_inv [L(x) U(v) c - L(y_shift) U(x_revshift) c].
+/// u1_inv commutes with everything, so it scales the two stage-2 operands
+/// once (u1_inv L(x) U(v) c = L(u1_inv x) U(v) c) instead of every output
+/// entry; scaling runs beside stage 1, off its critical path.  Stage 1
+/// needs no bivariate product: with c constant, the lambda^k coefficient of
+/// U(w) c is U([lambda^k] w) c, one univariate product of the slice
+/// against rev(c) per k.  Stage 2 is bivariate over K[[lambda]]/lambda^p,
+/// both columns batched per fixed operand.
+template <kp::field::Field F>
+std::vector<std::vector<std::vector<typename F::Element>>> gs_apply_constant(
+    const kp::poly::PolyRing<F>& fring, std::size_t p,
+    const std::vector<std::vector<typename F::Element>>& x,
+    const std::vector<std::vector<typename F::Element>>& y,
+    const std::vector<typename F::Element>& u1_inv,
+    const std::vector<std::vector<typename F::Element>>& cs) {
+  using Poly = std::vector<typename F::Element>;
+  using SR = kp::poly::TruncSeriesRing<F>;
+  const F& f = fring.base();
+  const std::size_t n = x.size();
+
+  // Stage 1, (U([lambda^k] w) c)_i = conv(slice_k, rev(c))[n-1-i] for the
+  // slices of w = v = rev(y) (op 0) and w = x_revshift = (0, x_{n-1}, ...,
+  // x_1) (op 1).
+  std::vector<Poly> slices(2 * p, Poly(n, f.zero()));
+  for (std::size_t j = 0; j < n; ++j) {
+    const Poly& v = y[n - 1 - j];
+    for (std::size_t k = 0; k < v.size(); ++k) slices[k][j] = v[k];
+    if (j == 0) continue;
+    const Poly& u = x[n - j];
+    for (std::size_t k = 0; k < u.size(); ++k) slices[p + k][j] = u[k];
+  }
+  std::vector<const Poly*> slice_ptrs;
+  for (auto& s : slices) {
+    fring.strip(s);
+    slice_ptrs.push_back(&s);
+  }
+  const std::size_t m = cs.size();
+  std::vector<std::vector<Poly>> w(2 * m, std::vector<Poly>(n));
+  for (std::size_t col = 0; col < m; ++col) {
+    Poly rc(cs[col].rbegin(), cs[col].rend());
+    fring.strip(rc);
+    const auto prods = kp::poly::TransformedPoly<F>(fring, std::move(rc))
+                           .mul_many(fring, slice_ptrs);
+    for (std::size_t op = 0; op < 2; ++op) {
+      auto& out = w[op * m + col];
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t k = 0; k < p; ++k) {
+          out[i].push_back(fring.coeff(prods[op * p + k], n - 1 - i));
+        }
+        fring.strip(out[i]);
+      }
+    }
+  }
+
+  // Stage-2 operands scaled mod lambda^p: u1_inv x and u1_inv y_shift,
+  // y_shift = (0, y_0, ..., y_{n-2}).
+  std::vector<const Poly*> entries;
+  for (std::size_t i = 0; i < n; ++i) entries.push_back(&x[i]);
+  for (std::size_t i = 0; i + 1 < n; ++i) entries.push_back(&y[i]);
+  auto scaled =
+      kp::poly::TransformedPoly<F>(fring, u1_inv).mul_many(fring, entries);
+  std::vector<std::vector<Poly>> lower(2, std::vector<Poly>(n));
+  for (std::size_t e = 0; e < scaled.size(); ++e) {
+    lower[e < n ? 0 : 1][e < n ? e : e - n + 1] = fring.truncate(scaled[e], p);
+  }
+
+  // Stage 2: L(u1_inv x) w_0 - L(u1_inv y_shift) w_1, windowed to the
+  // first n entries.
+  const SR sr(f, p);
+  const kp::poly::PolyRing<SR> biv(sr);
+  std::vector<std::vector<std::vector<Poly>>> t(2);
+  for (std::size_t op = 0; op < 2; ++op) {
+    biv.strip(lower[op]);
+    std::vector<const std::vector<Poly>*> ins;
+    for (std::size_t col = 0; col < m; ++col) {
+      biv.strip(w[op * m + col]);
+      ins.push_back(&w[op * m + col]);
+    }
+    t[op] = kp::poly::TransformedPoly<SR>(biv, std::move(lower[op]))
+                .mul_many(biv, ins);
+  }
+  std::vector<std::vector<Poly>> out(m, std::vector<Poly>(n));
+  for (std::size_t col = 0; col < m; ++col) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[col][i] = sr.sub(biv.coeff(t[0][col], i), biv.coeff(t[1][col], i));
+    }
+  }
+  return out;
+}
+
+}  // namespace detail
 
 /// First and last columns of (I - lambda T)^{-1} mod lambda^prec, as vectors
 /// of truncated power series, plus the unit inverse of the (1,1) entry.
@@ -117,28 +215,23 @@ ToeplitzSeriesInverse<F> toeplitz_series_inverse(const F& f,
     const std::size_t q = *it;
     const Vec xt = top(x, p - 1), yt = top(y, p - 1);
     const auto c = t.apply_many(fring, {&xt, &yt});
-    std::vector<SE> cx(n), cy(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!f.eq(c[0][i], f.zero())) cx[i] = SE{c[0][i]};
-      if (!f.eq(c[1][i], f.zero())) cy[i] = SE{c[1][i]};
-    }
-    // A Neumann step (q = p+1) appends c itself: X mod lambda^1 = I.
-    if (q != p + 1) {
+    std::vector<std::vector<SE>> corr(2, std::vector<SE>(n));
+    if (q == p + 1) {
+      // A Neumann step appends c itself: X mod lambda^1 = I.
+      for (std::size_t k = 0; k < 2; ++k) {
+        for (std::size_t i = 0; i < n; ++i) {
+          if (!f.eq(c[k][i], f.zero())) corr[k][i] = SE{c[k][i]};
+        }
+      }
+    } else {
       // Newton step at half precision.  u1_inv must satisfy
       // u1_inv * x[0] = 1 mod lambda^p EXACTLY: the Gohberg-Semencul
-      // reconstruction's first column is (y_n * u1_inv) * x.  Both columns
-      // are corrected through the SAME fixed operator, so its four
-      // generator transforms are shared across the pair.
+      // reconstruction's first column is (y_n * u1_inv) * x.
       refine_u1_inv(p);
-      SR sr(f, p);
-      kp::poly::PolyRing<SR> biv(sr);
-      const CachedGsApplier<SR> xinv(biv, GohbergSemencul<SR>{x, y, u1_inv});
-      auto corr = xinv.apply_many(biv, {&cx, &cy});
-      cx = std::move(corr[0]);
-      cy = std::move(corr[1]);
+      corr = detail::gs_apply_constant(fring, p, x, y, u1_inv, c);
     }
-    append(x, p, cx);
-    append(y, p, cy);
+    append(x, p, corr[0]);
+    append(y, p, corr[1]);
     p = q;
   }
   // Final catch-up against the final first column.

@@ -472,8 +472,8 @@ TEST(BuildersTest, CircuitSizeAndDepthArePinned) {
         inverse_size, inverse_depth;
   };
   for (const Expect& e : {Expect{2, 254, 38, 229, 31, 526, 49},
-                          Expect{4, 2681, 68, 2402, 59, 5278, 101},
-                          Expect{8, 32817, 114, 29702, 103, 61084, 178}}) {
+                          Expect{4, 2649, 67, 2370, 58, 5184, 100},
+                          Expect{8, 32537, 113, 29422, 102, 59936, 177}}) {
     const auto s = circuit::build_solver_circuit(e.n);
     const auto d = circuit::build_det_circuit(e.n);
     const auto i = circuit::build_inverse_circuit(e.n);

@@ -9,11 +9,13 @@
 // the sweep degenerates to re-checking the levels that do exist.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "core/solver.h"
 #include "field/kernels.h"
+#include "field/primes.h"
 #include "field/reference.h"
 #include "field/simd.h"
 #include "field/zp.h"
@@ -148,6 +150,65 @@ TEST(SimdKernels, CrossLevelBitIdentityIncludingOpCounts) {
           ASSERT_EQ(dot1, dot0) << p << " " << n;
           ASSERT_EQ(skip1, skip0) << p << " " << n;
           ASSERT_TRUE(same_counts(s1.counts(), c0)) << p << " " << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, MatMulEquivalenceAllLevels) {
+  // mat_mul's fast row kernel (outer-product IFMA body or per-entry dots)
+  // against the generic product over the seed arithmetic: same elements,
+  // and the same zero-skipping op counts at every level, IFMA setting and
+  // worker count.  K = 2049 crosses the IFMA spill block; the column counts
+  // straddle one and two 8-lane groups; A has scattered zeros and one
+  // all-zero row.
+  LevelGuard guard;
+  auto& ctx = pram::ExecutionContext::global();
+  for (std::uint64_t p : {std::uint64_t{65537}, kP61, kNttPrime,
+                          field::next_ntt_prime(62, 24)}) {
+    GFp fast(p);
+    GFpReference ref(p);
+    for (std::size_t k : {1u, 31u, 128u, 2049u}) {
+      for (std::size_t cols : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 33u, 128u}) {
+        const std::size_t rows = 5;
+        util::Prng prng(p % 1009 + 31 * k + cols);
+        matrix::Matrix<GFp> a(rows, k, 0), b(k, cols, 0);
+        matrix::Matrix<GFpReference> ra(rows, k, 0), rb(k, cols, 0);
+        for (std::size_t i = 0; i < rows; ++i) {
+          for (std::size_t j = 0; j < k; ++j) {
+            const bool zero = i == 2 || prng.below(4) == 0;
+            a.at(i, j) = ra.at(i, j) = zero ? 0 : prng.below(p);
+          }
+        }
+        for (std::size_t i = 0; i < k; ++i) {
+          for (std::size_t j = 0; j < cols; ++j) {
+            b.at(i, j) = rb.at(i, j) = prng.below(p);
+          }
+        }
+        util::OpScope sr;
+        const auto expect = matrix::mat_mul(ref, ra, rb);
+        const auto cr = sr.counts();
+        for (auto want : kSweep) {
+          for (int ifma = 0; ifma < 2; ++ifma) {
+            simd::set_simd_level(want);
+            simd::set_simd_ifma(ifma != 0);
+            for (unsigned workers : {1u, 3u}) {
+              ctx.set_worker_limit(workers);
+              util::OpScope sf;
+              const auto got = matrix::mat_mul(fast, a, b);
+              const auto cf = sf.counts();
+              ctx.set_worker_limit(0);
+              ASSERT_EQ(got.data(), expect.data())
+                  << "p=" << p << " k=" << k << " cols=" << cols
+                  << " level=" << to_string(simd::simd_level())
+                  << " ifma=" << simd::simd_ifma() << " workers=" << workers;
+              ASSERT_TRUE(same_counts(cf, cr))
+                  << "p=" << p << " k=" << k << " cols=" << cols
+                  << " level=" << to_string(simd::simd_level())
+                  << " ifma=" << simd::simd_ifma() << " workers=" << workers;
+            }
+          }
         }
       }
     }
@@ -442,6 +503,27 @@ TEST(SimdDispatch, StatsCountVectorGroupsOnlyWhenVectorPathRuns) {
     simd::reset_simd_stats();
     (void)field::kernels::dot(fast, a.data(), b.data(), n);
     EXPECT_GT(simd::simd_stats().dot, 0u);
+  }
+
+  // mat_mul's outer-product body counts its 8-lane groups as dot groups;
+  // it exists only at AVX-512 with IFMA, so every other setting leaves the
+  // counter alone (rows of B are 16 wide, so the stride-1 dot never runs).
+  matrix::Matrix<GFp> ma(8, 64, 0), mb(64, 16, 0);
+  const auto va = random_residues(kNttPrime, 8 * 64, 3);
+  const auto vb = random_residues(kNttPrime, 64 * 16, 4);
+  std::copy(va.begin(), va.end(), ma.data().begin());
+  std::copy(vb.begin(), vb.end(), mb.data().begin());
+  for (auto want : kSweep) {
+    for (int ifma = 0; ifma < 2; ++ifma) {
+      simd::set_simd_level(want);
+      simd::set_simd_ifma(ifma != 0);
+      simd::reset_simd_stats();
+      (void)matrix::mat_mul(fast, ma, mb);
+      const bool vector_body =
+          simd::simd_level() == SimdLevel::kAvx512 && simd::simd_ifma();
+      EXPECT_EQ(simd::simd_stats().dot, vector_body ? 8u * 64u * 2u : 0u)
+          << to_string(simd::simd_level()) << " ifma=" << simd::simd_ifma();
+    }
   }
 }
 
