@@ -57,51 +57,97 @@ inline KrylovRoute resolve_route(KrylovRoute requested,
                                                    : KrylovRoute::kIterative;
 }
 
+/// Krylov blocks of several start vectors from ONE doubling pass: out[k] is
+/// the n x counts[k] block with column i = A^i starts[k].  Each A^{2^j} is
+/// squared once, and one product with it extends every block still growing
+/// (they all hold 2^j columns at step j), so a solve's projection block (2n
+/// columns of v) and finish block (n columns of b) share their log2(n)
+/// squarings.  A malformed call (non-square A, a start of the wrong length,
+/// counts not matching starts) returns EMPTY (0 x 0) blocks.
+template <kp::field::Field F>
+std::vector<matrix::Matrix<F>> krylov_blocks(
+    const F& f, const matrix::Matrix<F>& a,
+    const std::vector<const std::vector<typename F::Element>*>& starts,
+    const std::vector<std::size_t>& counts,
+    matrix::MatMulStrategy strategy = matrix::MatMulStrategy::kClassical) {
+  std::vector<matrix::Matrix<F>> out(starts.size(),
+                                     matrix::Matrix<F>(0, 0, f.zero()));
+  if (counts.size() != starts.size()) return out;
+  for (const auto* v : starts) {
+    if (v == nullptr ||
+        !validate_krylov_input(f, a.rows(), a.cols(), v->size()).ok()) {
+      return out;
+    }
+  }
+  const std::size_t n = a.rows();
+  // The blocks still growing, side by side in w, `cols` columns each; a
+  // count <= 1 is the start vector itself.
+  std::vector<std::size_t> live;
+  for (std::size_t k = 0; k < starts.size(); ++k) {
+    if (counts[k] > 1) {
+      live.push_back(k);
+      continue;
+    }
+    out[k] = matrix::Matrix<F>(n, 1, f.zero());
+    for (std::size_t i = 0; i < n; ++i) out[k].at(i, 0) = (*starts[k])[i];
+  }
+  matrix::Matrix<F> w(n, live.size(), f.zero());
+  for (std::size_t j = 0; j < live.size(); ++j) {
+    for (std::size_t i = 0; i < n; ++i) w.at(i, j) = (*starts[live[j]])[i];
+  }
+
+  matrix::Matrix<F> pw = a;  // A^{2^j}
+  for (std::size_t cols = 1; !live.empty(); cols *= 2) {
+    if (cols > 1) pw = matrix::mat_mul(f, pw, pw, strategy);
+    const auto ext = matrix::mat_mul(f, pw, w, strategy);
+    // Each block becomes [block | A^{2^j} block]; one that reaches its count
+    // leaves w for out, trimmed.  The merge copies disjoint rows, so it runs
+    // on the pooled ExecutionContext for large blocks.
+    std::vector<std::size_t> next;
+    for (const std::size_t k : live) {
+      if (counts[k] <= 2 * cols) {
+        out[k] = matrix::Matrix<F>(n, counts[k], f.zero());
+      } else {
+        next.push_back(k);
+      }
+    }
+    matrix::Matrix<F> merged(n, 2 * cols * next.size(), f.zero());
+    auto merge_row = [&](std::size_t i) {
+      std::size_t dst = 0;
+      for (std::size_t j = 0; j < live.size(); ++j) {
+        const std::size_t k = live[j];
+        const bool done = counts[k] <= 2 * cols;
+        matrix::Matrix<F>& to = done ? out[k] : merged;
+        const std::size_t base = done ? 0 : dst;
+        const std::size_t width = done ? counts[k] : 2 * cols;
+        for (std::size_t c = 0; c < width; ++c) {
+          to.at(i, base + c) = c < cols ? w.at(i, j * cols + c)
+                                        : ext.at(i, j * cols + c - cols);
+        }
+        if (!done) dst += width;
+      }
+    };
+    if (kp::field::concurrent_ops_v<F> &&
+        n * cols * live.size() >= matrix::kParallelGrain) {
+      kp::pram::parallel_for(0, n, merge_row);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) merge_row(i);
+    }
+    w = std::move(merged);
+    live = std::move(next);
+  }
+  return out;
+}
+
 /// Returns the n x count Krylov block K with K(:, i) = A^i v, built by
-/// doubling.
+/// doubling: the one-vector case of krylov_blocks.
 template <kp::field::Field F>
 matrix::Matrix<F> krylov_block(const F& f, const matrix::Matrix<F>& a,
                                const std::vector<typename F::Element>& v,
                                std::size_t count,
                                matrix::MatMulStrategy strategy =
                                    matrix::MatMulStrategy::kClassical) {
-  if (!validate_krylov_input(f, a.rows(), a.cols(), v.size()).ok()) {
-    return matrix::Matrix<F>(0, 0, f.zero());
-  }
-  const std::size_t n = a.rows();
-  matrix::Matrix<F> block(n, 1, f.zero());
-  for (std::size_t i = 0; i < n; ++i) block.at(i, 0) = v[i];
-  if (count <= 1) return block;
-
-  matrix::Matrix<F> pw = a;  // A^{2^j}
-  while (block.cols() < count) {
-    // [block | A^{2^j} * block]: the merge copies disjoint rows, so it runs
-    // on the pooled ExecutionContext for large blocks.
-    const auto ext = matrix::mat_mul(f, pw, block, strategy);
-    matrix::Matrix<F> merged(n, 2 * block.cols(), f.zero());
-    const std::size_t cols = block.cols();
-    auto merge_row = [&](std::size_t i) {
-      for (std::size_t j = 0; j < cols; ++j) {
-        merged.at(i, j) = block.at(i, j);
-        merged.at(i, cols + j) = ext.at(i, j);
-      }
-    };
-    if (kp::field::concurrent_ops_v<F> && n * cols >= matrix::kParallelGrain) {
-      kp::pram::parallel_for(0, n, merge_row);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) merge_row(i);
-    }
-    block = std::move(merged);
-    if (block.cols() < count) pw = matrix::mat_mul(f, pw, pw, strategy);
-  }
-  if (block.cols() > count) {
-    matrix::Matrix<F> trimmed(n, count, f.zero());
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < count; ++j) trimmed.at(i, j) = block.at(i, j);
-    }
-    block = std::move(trimmed);
-  }
-  return block;
+  return std::move(krylov_blocks(f, a, {&v}, {count}, strategy)[0]);
 }
 
 /// The same n x count Krylov block built with count-1 black-box products

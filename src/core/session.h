@@ -217,7 +217,7 @@ class Session {
           }
           std::vector<E> g;
           Status gst = detail::generator_from_sequence_status(
-              f_, seq, n_, opt_.solver, ring_, g);
+              f_, seq, n_, opt_.solver, g);
           if (!gst.ok()) return gst;
 
           auto det = detail::det_from_charpoly(f_, *pre_, g, opt_.solver.newton,

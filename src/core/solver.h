@@ -6,11 +6,16 @@
 //   1. Draw the random Hankel H, diagonal D, row vector u, column vector v
 //      with entries from S; form A-tilde = A H D.               [Theorem 2]
 //   2. a_i = u A-tilde^i v for i < 2n, either via Krylov doubling (9)
-//      [O(n^w log n), the processor-efficient dense route] or via 2n
-//      black-box products (8) [the cheap route when one product costs
-//      o(n^2): sparse O(nnz), structured O(M(n))].
-//   3. T = Toeplitz(a_0..a_{2n-2}) (Lemma 1); find charpoly(T)  [Theorem 3]
-//      and solve T c = (a_n..a_{2n-1}) by Cayley-Hamilton on T.
+//      [O(n^w log n), the processor-efficient dense route; one pass over
+//      the powers A-tilde^{2^j} also builds the Krylov block of b for step
+//      4] or via 2n black-box products (8) [the cheap route when one
+//      product costs o(n^2): sparse O(nnz), structured O(M(n))].
+//   3. The generator c solves T c = (a_n..a_{2n-1}), T = Toeplitz(a_0..
+//      a_{2n-2}) (Lemma 1).  Sequentially, Berlekamp-Massey finds it in
+//      O(n^2); deg c = n exactly when det T != 0 (Massey's uniqueness
+//      theorem), so the gate and the answer are those of Theorem 3.  Under
+//      depth_optimal (and so in every recorded circuit): charpoly(T) by
+//      Theorem 3, then Cayley-Hamilton on T, O(log^2 n) deep.
 //   4. c is w.h.p. the characteristic polynomial of A-tilde     [est. (2)];
 //      Cayley-Hamilton on A-tilde (through the Krylov block of b) gives
 //      x-tilde = A-tilde^{-1} b, and x = H D x-tilde.
@@ -65,6 +70,7 @@
 #include "matrix/dense.h"
 #include "matrix/gauss.h"
 #include "matrix/matmul.h"
+#include "seq/berlekamp_massey.h"
 #include "seq/newton_toeplitz.h"
 #include "util/deadline.h"
 #include "util/fault.h"
@@ -85,11 +91,14 @@ struct SolverOptions {
   /// (8) for sparse/structured ones where n black-box products beat an
   /// O(n^omega log n) dense doubling.
   KrylovRoute route = KrylovRoute::kAuto;
-  /// Replace the two O(n)-deep sequential finishes (the Toeplitz
-  /// Cayley-Hamilton iteration and the triangular Newton-identity solve)
-  /// with their doubling / power-series counterparts, so that the realized
-  /// CIRCUIT has poly-logarithmic depth as Theorem 4 states.  Costs a
-  /// little more work; the default optimizes sequential work instead.
+  /// Build every stage for poly-logarithmic CIRCUIT depth, as Theorem 4
+  /// states: the generator by Theorem 3 (charpoly of the Lemma-1 Toeplitz
+  /// T, then Cayley-Hamilton through a doubling Krylov block on T) instead
+  /// of the O(n)-deep Berlekamp-Massey recurrence, and det(H) by Theorem 3
+  /// instead of the O(n^2) Hankel recurrence.  Same answers, same failure
+  /// reports; several times the work.  The Newton-identity step has its own
+  /// knob (`newton`; circuit/builders.h pairs this with kPowerSeriesExp).
+  /// The default optimizes sequential work instead.
   bool depth_optimal = false;
   /// Cap on the field operations one attempt may spend (0 = unlimited).
   /// When a failed attempt exceeds it, the Las Vegas loop stops and the
@@ -136,9 +145,15 @@ struct SolveResult {
 namespace detail {
 
 /// Steps 3-4a of one attempt: from the projected sequence a_0..a_{2n-1} of
-/// the preconditioned operator, recover the generator (monic, degree n,
-/// g(0) != 0) through Lemma 1 and the Theorem-3 Toeplitz machinery.  The two
-/// distinguishable failures map onto the taxonomy:
+/// the preconditioned operator, recover the generator g (monic, degree n,
+/// g(0) != 0) of Lemma 1, the solution of T y = (a_n .. a_{2n-1}) for the
+/// Toeplitz T = T_n of the sequence.  By default Berlekamp-Massey finds it in
+/// O(n^2): with 2n >= 2L terms the shortest recurrence is unique (Massey),
+/// so deg g = n exactly when det(T) != 0, and then g is the Theorem-3
+/// solution.  depth_optimal runs Theorem 3 itself (charpoly of T, then the
+/// Cayley-Hamilton solve through a doubling Krylov block), whose O(log^2 n)
+/// depth the circuit keeps.  The two distinguishable failures map onto the
+/// taxonomy:
 ///   det(T) = 0  -> the projection lost information (deg f_u < n, Lemma 2):
 ///                  kDegenerateProjection, re-draw u, v;
 ///   g(0) = 0    -> A-tilde is singular (A itself, or an unlucky H/D):
@@ -146,50 +161,46 @@ namespace detail {
 template <kp::field::Field F>
 util::Status generator_from_sequence_status(
     const F& f, const std::vector<typename F::Element>& seq, std::size_t n,
-    const SolverOptions& opt, const kp::poly::PolyRing<F>& ring,
-    std::vector<typename F::Element>& g_out) {
-  // Lemma 1: T = T_n of the sequence; solve T y = (a_n .. a_{2n-1}) through
-  // the Theorem-3 characteristic polynomial of T.
-  auto t = matrix::Toeplitz<F>::from_sequence(n, seq);
-  std::vector<typename F::Element> rhs(seq.begin() + static_cast<std::ptrdiff_t>(n),
-                                       seq.end());
-  if (KP_FAULT_POINT(util::Stage::kNewtonToeplitz)) {
-    return util::Status::Injected(util::FailureKind::kDegenerateProjection,
-                                  util::Stage::kNewtonToeplitz);
+    const SolverOptions& opt, std::vector<typename F::Element>& g_out) {
+  using util::FailureKind;
+  using util::Stage;
+  using util::Status;
+  if (KP_FAULT_POINT(Stage::kNewtonToeplitz)) {
+    return Status::Injected(FailureKind::kDegenerateProjection,
+                            Stage::kNewtonToeplitz);
   }
-  std::vector<typename F::Element> y;
+  auto singular_t = [] {
+    return Status::Fail(FailureKind::kDegenerateProjection,
+                        Stage::kNewtonToeplitz, "det(T) = 0: deg f_u < n");
+  };
+  std::vector<typename F::Element> g;
   if (opt.depth_optimal) {
-    // Same Cayley-Hamilton solve, but through a doubling Krylov block on
-    // the dense T, as the paper does ("Again from (9) we deduce ..."):
-    // depth O(log^2 n) instead of the O(n)-deep iterated Toeplitz applies.
+    // The paper's route: charpoly(T) by Theorem 3, then T^{-1} rhs by
+    // Cayley-Hamilton through a doubling Krylov block on the dense T ("Again
+    // from (9) we deduce ..."): depth O(log^2 n).
+    const auto t = matrix::Toeplitz<F>::from_sequence(n, seq);
+    const std::vector<typename F::Element> rhs(
+        seq.begin() + static_cast<std::ptrdiff_t>(n), seq.end());
     const auto p = seq::toeplitz_charpoly(f, t, opt.newton);
-    if (f.is_zero(p[0])) {
-      return util::Status::Fail(util::FailureKind::kDegenerateProjection,
-                                util::Stage::kNewtonToeplitz,
-                                "det(T) = 0: deg f_u < n");
-    }
+    if (f.is_zero(p[0])) return singular_t();
     const auto q = solution_combination(f, p);
     const auto block = krylov_block(f, t.to_dense(f), rhs, n, opt.matmul);
-    y = krylov_combine(f, block, q);
+    const auto y = krylov_combine(f, block, q);
+    // y = (c_{n-1}, ..., c_0); g = x^n - c_{n-1} x^{n-1} - ... - c_0.
+    g.assign(n + 1, f.zero());
+    g[n] = f.one();
+    for (std::size_t i = 0; i < n; ++i) g[n - 1 - i] = f.neg(y[i]);
   } else {
-    y = seq::toeplitz_solve_charpoly(f, t, rhs, ring, opt.newton);
+    g = seq::berlekamp_massey(f, seq);
+    if (KP_FAULT_POINT(Stage::kNewtonToeplitz) || g.size() != n + 1) {
+      return singular_t();
+    }
   }
-  if (y.empty()) {
-    return util::Status::Fail(util::FailureKind::kDegenerateProjection,
-                              util::Stage::kNewtonToeplitz,
-                              "det(T) = 0: deg f_u < n");
-  }
-
-  // y = (c_{n-1}, ..., c_0); generator g = x^n - c_{n-1} x^{n-1} - ... - c_0.
-  std::vector<typename F::Element> g(n + 1, f.zero());
-  g[n] = f.one();
-  for (std::size_t i = 0; i < n; ++i) g[n - 1 - i] = f.neg(y[i]);
-  if (util::Status st = check_charpoly(f, g, n, util::Stage::kNewtonToeplitz);
-      !st.ok()) {
+  if (Status st = check_charpoly(f, g, n, Stage::kNewtonToeplitz); !st.ok()) {
     return st;
   }
   g_out = std::move(g);
-  return util::Status::Ok();
+  return Status::Ok();
 }
 
 /// Effective block width for the iterative route: SolverOptions::block_width
@@ -360,20 +371,22 @@ SolveResult<F> theorem4_run(const F& f, const B& a,
         std::vector<E> xt;  // A-tilde^{-1} b
         if (route == KrylovRoute::kDoubling) {
           const auto at = dense_preconditioned(f, ring, a, *pre);
-          // a_i = u A-tilde^i v by doubling (9).
-          const auto seq =
-              krylov_sequence_doubling(f, at, u, v, 2 * n, opt.matmul);
+          // a_i = u A-tilde^i v by doubling (9); with a right-hand side the
+          // same pass over the powers A-tilde^{2^j} also builds the Krylov
+          // block of b for the finish.
+          const auto blocks =
+              rhs ? krylov_blocks(f, at, {&v, rhs}, {2 * n, n}, opt.matmul)
+                  : krylov_blocks(f, at, {&v}, {2 * n}, opt.matmul);
+          const auto seq = matrix::vec_mat(f, u, blocks[0]);
           if (KP_FAULT_POINT(Stage::kProjection)) {
             return Status::Injected(FailureKind::kDegenerateProjection,
                                     Stage::kProjection);
           }
-          Status gst = generator_from_sequence_status(f, seq, n, opt, ring, g);
+          Status gst = generator_from_sequence_status(f, seq, n, opt, g);
           if (!gst.ok()) return gst;
           if (rhs) {
             // Cayley-Hamilton solve of A-tilde xt = b through the Krylov block.
-            const auto q = solution_combination(f, g);
-            const auto block = krylov_block(f, at, *rhs, n, opt.matmul);
-            xt = krylov_combine(f, block, q);
+            xt = krylov_combine(f, blocks[1], solution_combination(f, g));
           }
         } else if (const std::size_t bw = effective_block_width(f, opt, n);
                    bw > 1) {
@@ -398,7 +411,7 @@ SolveResult<F> theorem4_run(const F& f, const B& a,
             return Status::Injected(FailureKind::kDegenerateProjection,
                                     Stage::kProjection);
           }
-          Status gst = generator_from_sequence_status(f, seq, n, opt, ring, g);
+          Status gst = generator_from_sequence_status(f, seq, n, opt, g);
           if (!gst.ok()) return gst;
           if (rhs) xt = solve_from_annihilator(f, at, g, *rhs);
         }

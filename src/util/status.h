@@ -70,7 +70,8 @@ enum class Stage : std::uint8_t {
   kPrecondition,     ///< Theorem-2 H, D (draw, det, zero checks)
   kProjection,       ///< u A-tilde^i v sequence and its Lemma-1 Toeplitz
   kCharpoly,         ///< generator/charpoly recovery (g(0) zero check)
-  kNewtonToeplitz,   ///< section-3 Newton-on-Toeplitz solve (det(T) check)
+  kNewtonToeplitz,   ///< Lemma-1 generator: det(T) check (deg g = n under
+                     ///< Berlekamp-Massey, p(0) under Theorem 3)
   kGohbergSemencul,  ///< Gohberg-Semencul construction ((T^-1)_{1,1} check)
   kSolveFinish,      ///< Cayley-Hamilton finish / unpreconditioning
   kVerify,           ///< Las Vegas verification A x = b

@@ -5,14 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/annihilator.h"
 #include "core/baselines.h"
+#include "core/crt_shard.h"
 #include "core/extensions.h"
 #include "core/field_lift.h"
 #include "core/krylov.h"
 #include "core/preconditioners.h"
+#include "core/session.h"
 #include "core/small_char.h"
 #include "core/solver.h"
 #include "core/wiedemann.h"
@@ -21,6 +26,7 @@
 #include "field/zp.h"
 #include "matrix/blackbox.h"
 #include "matrix/gauss.h"
+#include "matrix/sparse.h"
 #include "seq/berlekamp_massey.h"
 #include "seq/newton_toeplitz.h"
 #include "util/prng.h"
@@ -40,6 +46,17 @@ F f;
 
 Matrix<F> random_mat(std::size_t n, util::Prng& prng) {
   return matrix::random_matrix(f, n, n, prng);
+}
+
+template <class R>
+bool same_block(const Matrix<R>& x, const Matrix<R>& y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t j = 0; j < x.cols(); ++j) {
+      if (x.at(i, j) != y.at(i, j)) return false;
+    }
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -89,6 +106,60 @@ TEST(KrylovTest, DoublingWithStrassen) {
                                            matrix::MatMulStrategy::kStrassen),
             core::krylov_sequence_doubling(f, a, u, v, 2 * n,
                                            matrix::MatMulStrategy::kClassical));
+}
+
+TEST(KrylovTest, SharedDoublingMatchesSeparateBlocks) {
+  // One pass over the shared powers A^{2^j} gives exactly the blocks two
+  // separate krylov_block calls give, whichever block stops growing first.
+  util::Prng prng(30);
+  for (std::size_t n : {1u, 2u, 5u, 8u, 13u}) {
+    auto a = random_mat(n, prng);
+    std::vector<F::Element> v(n), w(n);
+    for (auto& e : v) e = f.random(prng);
+    for (auto& e : w) e = f.random(prng);
+    const std::vector<std::pair<std::size_t, std::size_t>> counts{
+        {1, 1}, {2, 1}, {7, 3}, {2 * n, n}, {n, 2 * n}};
+    for (const auto strategy : {matrix::MatMulStrategy::kClassical,
+                                matrix::MatMulStrategy::kStrassen}) {
+      for (const auto& [cv, cw] : counts) {
+        const auto blocks =
+            core::krylov_blocks(f, a, {&v, &w}, {cv, cw}, strategy);
+        ASSERT_EQ(blocks.size(), 2u);
+        EXPECT_TRUE(same_block(blocks[0],
+                               core::krylov_block(f, a, v, cv, strategy)))
+            << n << " " << cv << " " << cw;
+        EXPECT_TRUE(same_block(blocks[1],
+                               core::krylov_block(f, a, w, cw, strategy)))
+            << n << " " << cv << " " << cw;
+        EXPECT_EQ(blocks[0].cols(), cv);
+        EXPECT_EQ(blocks[1].cols(), cw);
+      }
+    }
+  }
+  // Word-size NTT prime at a size whose merge runs on the pool and whose
+  // products take the vectorized mat_mul.
+  const field::GFp gf(field::kNttPrime);
+  const std::size_t n = 256;
+  const auto a = matrix::random_matrix(gf, n, n, prng);
+  std::vector<field::GFp::Element> v(n), w(n);
+  for (auto& e : v) e = gf.random(prng);
+  for (auto& e : w) e = gf.random(prng);
+  const auto blocks = core::krylov_blocks(gf, a, {&v, &w}, {2 * n, n});
+  EXPECT_TRUE(same_block(blocks[0], core::krylov_block(gf, a, v, 2 * n)));
+  EXPECT_TRUE(same_block(blocks[1], core::krylov_block(gf, a, w, n)));
+}
+
+TEST(KrylovTest, SharedDoublingRejectsMalformedStarts) {
+  util::Prng prng(31);
+  auto a = random_mat(4, prng);
+  std::vector<F::Element> v(4, f.one()), short_v(3, f.one());
+  for (const auto& blocks :
+       {core::krylov_blocks(f, a, {&v, &short_v}, {4, 4}),
+        core::krylov_blocks(f, a, {&v, nullptr}, {4, 4}),
+        core::krylov_blocks(f, a, {&v, &v}, {4})}) {
+    ASSERT_EQ(blocks.size(), 2u);
+    for (const auto& b : blocks) EXPECT_EQ(b.rows(), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -272,6 +343,240 @@ TEST(SolverTest, WorksOverRationals) {
     EXPECT_TRUE(q.eq(res.x[i], x[i])) << i;
   }
   EXPECT_TRUE(q.eq(res.det, matrix::det_gauss(q, a)));
+}
+
+// ---------------------------------------------------------------------------
+// The generator (steps 3-4a): Berlekamp-Massey by default, Theorem 3 under
+// depth_optimal.  Massey's uniqueness theorem makes the two agree exactly:
+// same Status kind and stage, same g.
+
+template <class G>
+util::FailureKind expect_generators_agree(
+    const G& g, const std::vector<typename G::Element>& seq, std::size_t n,
+    const std::string& what) {
+  core::SolverOptions bm, t3;
+  t3.depth_optimal = true;
+  std::vector<typename G::Element> g_bm, g_t3;
+  const auto s_bm =
+      core::detail::generator_from_sequence_status(g, seq, n, bm, g_bm);
+  const auto s_t3 =
+      core::detail::generator_from_sequence_status(g, seq, n, t3, g_t3);
+  EXPECT_EQ(s_bm.kind(), s_t3.kind()) << what;
+  EXPECT_EQ(s_bm.stage(), s_t3.stage()) << what;
+  EXPECT_FALSE(s_bm.injected()) << what;
+  EXPECT_EQ(g_bm.size(), g_t3.size()) << what;
+  for (std::size_t i = 0; i < g_bm.size() && i < g_t3.size(); ++i) {
+    EXPECT_TRUE(g.eq(g_bm[i], g_t3[i])) << what << " coefficient " << i;
+  }
+  return s_bm.kind();
+}
+
+// Projected Krylov sequences of A (singular for n divisible by 3) with
+// entries from S and one generated by a recurrence of degree n/2 < n; when
+// `crafted`, also the all-zero sequence and (0, ..., 0, 1), of linear
+// complexity 2n > n.
+template <class G>
+void generator_sweep(const G& g, std::size_t max_n, std::uint64_t s,
+                     bool crafted, std::uint64_t seed,
+                     std::map<util::FailureKind, int>& seen) {
+  using E = typename G::Element;
+  util::Prng prng(seed);
+  for (std::size_t n = 1; n <= max_n; ++n) {
+    const std::string at =
+        "n=" + std::to_string(n) + " |S|=" + std::to_string(s);
+    Matrix<G> a(n, n, g.zero());
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) a.at(i, j) = g.sample(prng, s);
+    }
+    if (n % 3 == 0) {
+      for (std::size_t j = 0; j < n; ++j) a.at(n - 1, j) = a.at(0, j);
+    }
+    std::vector<E> u(n), v(n);
+    for (auto& e : u) e = g.sample(prng, s);
+    for (auto& e : v) e = g.sample(prng, s);
+    const auto krylov = core::krylov_sequence_doubling(g, a, u, v, 2 * n);
+    ++seen[expect_generators_agree(g, krylov, n, "krylov " + at)];
+
+    const std::size_t d = n / 2;
+    std::vector<E> rec(2 * n, g.zero()), c(d);
+    for (auto& e : c) e = g.sample(prng, s);
+    for (std::size_t i = 0; i < 2 * n; ++i) {
+      if (i < d) {
+        rec[i] = g.sample(prng, s);
+        continue;
+      }
+      for (std::size_t k = 0; k < d; ++k) {
+        rec[i] = g.add(rec[i], g.mul(c[k], rec[i - d + k]));
+      }
+    }
+    ++seen[expect_generators_agree(g, rec, n, "degree n/2 " + at)];
+
+    if (!crafted) continue;
+    const std::vector<E> zeros(2 * n, g.zero());
+    ++seen[expect_generators_agree(g, zeros, n, "zeros " + at)];
+    std::vector<E> spike(2 * n, g.zero());
+    spike.back() = g.one();
+    ++seen[expect_generators_agree(g, spike, n, "spike " + at)];
+  }
+}
+
+template <class G>
+void expect_generators_agree_up_to_48(const G& g, std::uint64_t seed) {
+  std::map<util::FailureKind, int> seen;
+  generator_sweep(g, 48, 5, /*crafted=*/true, seed, seen);
+  generator_sweep(g, 48, std::uint64_t{1} << 20, /*crafted=*/false, seed + 1,
+                  seen);
+  // Every outcome of the gate is exercised.
+  EXPECT_GT(seen[util::FailureKind::kNone], 0);
+  EXPECT_GT(seen[util::FailureKind::kDegenerateProjection], 0);
+  EXPECT_GT(seen[util::FailureKind::kZeroConstantTerm], 0);
+}
+
+TEST(GeneratorTest, BerlekampMasseyMatchesTheorem3OverNttPrime) {
+  expect_generators_agree_up_to_48(field::GFp(field::kNttPrime), 40);
+}
+
+TEST(GeneratorTest, BerlekampMasseyMatchesTheorem3OverZp) {
+  expect_generators_agree_up_to_48(f, 42);
+}
+
+TEST(GeneratorTest, BerlekampMasseyMatchesTheorem3OverRationals) {
+  std::map<util::FailureKind, int> seen;
+  generator_sweep(RationalField(), 6, 7, /*crafted=*/true, 44, seen);
+  EXPECT_GT(seen[util::FailureKind::kNone], 0);
+  EXPECT_GT(seen[util::FailureKind::kDegenerateProjection], 0);
+  EXPECT_GT(seen[util::FailureKind::kZeroConstantTerm], 0);
+}
+
+// depth_optimal changes how the generator and det(H) are computed, never
+// what the run returns: answers, attempts, and every Diag field but ops.
+void expect_same_diags(const std::vector<util::Diag>& x,
+                       const std::vector<util::Diag>& y,
+                       const std::string& what) {
+  ASSERT_EQ(x.size(), y.size()) << what;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(x[i].kind, y[i].kind) << what << " diag " << i;
+    EXPECT_EQ(x[i].stage, y[i].stage) << what << " diag " << i;
+    EXPECT_EQ(x[i].attempt, y[i].attempt) << what << " diag " << i;
+    EXPECT_EQ(x[i].precondition_seed, y[i].precondition_seed) << what;
+    EXPECT_EQ(x[i].projection_seed, y[i].projection_seed) << what;
+    EXPECT_EQ(x[i].redrew_precondition, y[i].redrew_precondition) << what;
+    EXPECT_EQ(x[i].redrew_projection, y[i].redrew_projection) << what;
+    EXPECT_EQ(x[i].injected, y[i].injected) << what;
+    EXPECT_EQ(x[i].sample_size, y[i].sample_size) << what;
+    EXPECT_EQ(x[i].shard_modulus, y[i].shard_modulus) << what;
+    EXPECT_EQ(x[i].shard_prime_index, y[i].shard_prime_index) << what;
+  }
+}
+
+template <class G>
+void expect_same_result(const core::SolveResult<G>& x,
+                        const core::SolveResult<G>& y,
+                        const std::string& what) {
+  EXPECT_EQ(x.ok, y.ok) << what;
+  EXPECT_EQ(x.x, y.x) << what;
+  EXPECT_EQ(x.det, y.det) << what;
+  EXPECT_EQ(x.charpoly_at, y.charpoly_at) << what;
+  EXPECT_EQ(x.attempts, y.attempts) << what;
+  EXPECT_EQ(x.status.kind(), y.status.kind()) << what;
+  EXPECT_EQ(x.status.stage(), y.status.stage()) << what;
+  EXPECT_EQ(x.sample_size_used, y.sample_size_used) << what;
+  expect_same_diags(x.diags, y.diags, what);
+}
+
+template <class G>
+void depth_optimal_sweep(const G& g, std::uint64_t seed, int& failed_attempts) {
+  using E = typename G::Element;
+  util::Prng gen(seed);
+  for (std::size_t n : {1u, 2u, 3u, 6u, 9u, 16u, 24u}) {
+    for (const std::uint64_t s : {std::uint64_t{5}, std::uint64_t{1} << 30}) {
+      auto a = matrix::random_matrix(g, n, n, gen);
+      if (n % 3 == 0) {
+        for (std::size_t j = 0; j < n; ++j) a.at(n - 1, j) = a.at(0, j);
+      }
+      std::vector<E> b(n);
+      for (auto& e : b) e = g.random(gen);
+      const matrix::SparseBox<G> sparse(
+          g, matrix::Sparse<G>::random(g, n, 3, gen));
+      core::SolverOptions plain, deep;
+      plain.sample_size = deep.sample_size = s;
+      plain.max_attempts = deep.max_attempts = 4;
+      deep.depth_optimal = true;
+      const std::string at =
+          "n=" + std::to_string(n) + " |S|=" + std::to_string(s);
+      auto both = [&](auto run, const std::string& what) {
+        util::Prng p1(seed + n), p2(seed + n);
+        const auto x = run(p1, plain);
+        const auto y = run(p2, deep);
+        expect_same_result(x, y, what + " " + at);
+        for (const auto& d : x.diags) {
+          failed_attempts += d.kind != util::FailureKind::kNone;
+        }
+      };
+      both([&](util::Prng& p, const core::SolverOptions& o) {
+        return core::kp_solve(g, a, b, p, o);
+      }, "dense solve");
+      both([&](util::Prng& p, const core::SolverOptions& o) {
+        return core::kp_det(g, a, p, o);
+      }, "dense det");
+      both([&](util::Prng& p, const core::SolverOptions& o) {
+        return core::kp_solve(g, sparse, b, p, o);
+      }, "sparse solve");
+      both([&](util::Prng& p, const core::SolverOptions& o) {
+        return core::kp_det(g, sparse, p, o);
+      }, "sparse det");
+
+      core::SessionOptions so_plain, so_deep;
+      so_plain.solver = plain;
+      so_deep.solver = deep;
+      core::Session<G> s1(g, matrix::DenseBox<G>(g, a), seed + n, so_plain);
+      core::Session<G> s2(g, matrix::DenseBox<G>(g, a), seed + n, so_deep);
+      const auto p1 = s1.prepare(), p2 = s2.prepare();
+      EXPECT_EQ(p1.kind(), p2.kind()) << "session " << at;
+      EXPECT_EQ(p1.stage(), p2.stage()) << "session " << at;
+      expect_same_diags(s1.prepare_diags(), s2.prepare_diags(),
+                        "session prepare " + at);
+      if (p1.ok() && p2.ok()) {
+        EXPECT_EQ(s1.det(), s2.det()) << "session " << at;
+        const auto i1 = s1.solve_one(b), i2 = s2.solve_one(b);
+        EXPECT_EQ(i1.status.kind(), i2.status.kind()) << "session " << at;
+        EXPECT_EQ(i1.x, i2.x) << "session " << at;
+      }
+    }
+  }
+}
+
+TEST(DepthOptimalTest, SameAnswersAttemptsAndDiags) {
+  int failed = 0;
+  depth_optimal_sweep(field::GFp(field::kNttPrime), 50, failed);
+  depth_optimal_sweep(f, 51, failed);
+  EXPECT_GT(failed, 0);  // the small |S| makes the failure branches run
+}
+
+TEST(DepthOptimalTest, CrtSolveSameAnswerAndShards) {
+  RationalField q;
+  util::Prng gen(52);
+  for (std::size_t n : {2u, 5u, 9u}) {
+    Matrix<RationalField> a(n, n, q.zero());
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) a.at(i, j) = q.sample(gen, 64);
+    }
+    std::vector<Rational> b(n);
+    for (auto& e : b) e = q.sample(gen, 64);
+    core::CrtOptions plain, deep;
+    // Shards one after another: their Diag records then arrive in order.
+    plain.shard_workers = deep.shard_workers = 2;
+    deep.solver.depth_optimal = true;
+    util::Prng p1(53 + n), p2(53 + n);
+    const auto x = core::crt_solve(q, a, b, p1, plain);
+    const auto y = core::crt_solve(q, a, b, p2, deep);
+    EXPECT_EQ(x.ok, y.ok) << n;
+    EXPECT_EQ(x.x, y.x) << n;
+    EXPECT_EQ(x.det, y.det) << n;
+    EXPECT_EQ(x.primes, y.primes) << n;
+    EXPECT_EQ(x.status.kind(), y.status.kind()) << n;
+    expect_same_diags(x.diags, y.diags, "crt n=" + std::to_string(n));
+  }
 }
 
 // ---------------------------------------------------------------------------
