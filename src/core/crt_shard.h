@@ -37,12 +37,15 @@
 // pram::ExecutionContext.  By default each shard runs single-worker (nested
 // regions are serial), so a batch of shards saturates the pool; the
 // shard_workers knob flips to serial-outer/parallel-inner for few-shard
-// runs.  Results and diagnostics are keyed by prime-stream index and sorted,
-// so the output is deterministic regardless of completion order.
+// runs.  A lane claims a prime only when it cannot lie past the batch's
+// b-th good prime or its bad-prime budget, so the shards a batch runs depend
+// on the prime stream alone; results and diagnostics are keyed by
+// prime-stream index and sorted, so the output is deterministic regardless
+// of completion order.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -267,6 +270,9 @@ inline ShardOutcome run_shard(const IntegerSystem& sys, std::uint64_t p,
   out.diag.shard_prime_index = static_cast<std::int64_t>(index);
   out.diag.precondition_seed = transcript_seed;
   out.diag.projection_seed = transcript_seed;
+  // The shard is its own attempt (index + 1, as in the Diag), so a fault
+  // keyed by attempt hits the same shard whichever lane runs it.
+  util::fault::AttemptScope attempt_scope(out.diag.attempt);
   if (KP_FAULT_POINT(Stage::kCrtShard)) {
     out.diag.kind = FailureKind::kBadPrime;
     out.diag.injected = true;
@@ -437,10 +443,21 @@ inline CrtSolveResult crt_solve(const field::RationalField& f,
   const std::size_t det_slot = det_only ? 0 : n;
   CrtCombiner combiner(slots);
 
-  std::atomic<std::size_t> next_index{0};
-  std::atomic<int> bad_primes{0};
-  std::atomic<bool> stream_exhausted{false};
-  std::mutex diag_mu;
+  // Lanes append shard records in completion order; the stream index puts
+  // them back in a schedule-free order.
+  auto sort_diags = [&] {
+    std::stable_sort(out.diags.begin(), out.diags.end(),
+                     [](const util::Diag& x, const util::Diag& y) {
+                       return x.shard_prime_index < y.shard_prime_index;
+                     });
+  };
+  // Claim state, shared by the lanes under `mu`.
+  std::size_t next_index = 0;
+  int bad_primes = 0;
+  int in_flight = 0;
+  bool stream_exhausted = false;
+  std::mutex mu;
+  std::condition_variable claimable;
 
   // Early-termination state: candidates from the previous batch.
   std::vector<std::optional<Rational>> prev_sentinels;
@@ -454,27 +471,43 @@ inline CrtSolveResult crt_solve(const field::RationalField& f,
                    ? out.hadamard_cap - out.shards_used
                    : std::size_t{1});
     std::vector<detail::ShardOutcome> good(b);
+    // A lane claims the next prime only while the shards still running,
+    // should they all turn out bad, cannot exceed the bad-prime budget;
+    // otherwise it waits for them.  A batch so runs exactly the stream
+    // prefix up to its b-th good prime or its first prime over the budget,
+    // whichever comes first: what one lane would run, on any number of lanes.
     auto lane = [&](std::size_t slot) {
-      while (bad_primes.load(std::memory_order_relaxed) <=
-             opt.max_bad_primes) {
-        const std::size_t idx =
-            next_index.fetch_add(1, std::memory_order_relaxed);
-        const std::uint64_t p = stream.at(idx);
-        if (p == 0) {
-          stream_exhausted.store(true, std::memory_order_relaxed);
-          return;
+      for (;;) {
+        std::size_t idx;
+        std::uint64_t p;
+        {
+          std::unique_lock<std::mutex> lk(mu);
+          claimable.wait(lk, [&] {
+            return bad_primes + in_flight <= opt.max_bad_primes ||
+                   bad_primes > opt.max_bad_primes;
+          });
+          if (bad_primes > opt.max_bad_primes) return;
+          idx = next_index++;
+          p = stream.at(idx);
+          if (p == 0) {
+            stream_exhausted = true;
+            return;
+          }
+          ++in_flight;
         }
         detail::ShardOutcome sh =
             detail::run_shard(sys, p, idx, out.transcript_seed, opt);
         {
-          std::lock_guard<std::mutex> lk(diag_mu);
+          std::lock_guard<std::mutex> lk(mu);
+          --in_flight;
           out.diags.push_back(sh.diag);
+          if (!sh.ok) ++bad_primes;
         }
+        claimable.notify_all();
         if (sh.ok) {
           good[slot] = std::move(sh);
           return;
         }
-        bad_primes.fetch_add(1, std::memory_order_relaxed);
       }
     };
     if (opt.shard_workers <= 1) {
@@ -488,17 +521,11 @@ inline CrtSolveResult crt_solve(const field::RationalField& f,
     }
     ++out.batches;
 
-    if (bad_primes.load() > opt.max_bad_primes) {
-      // Every prime looking bad is exactly what a singular input produces;
-      // only the generic route can prove or refute that.
-      std::sort(out.diags.begin(), out.diags.end(),
-                [](const util::Diag& x, const util::Diag& y) {
-                  return x.shard_prime_index < y.shard_prime_index;
-                });
-      run_generic(Status::Ok());
-      return out;
-    }
-    if (stream_exhausted.load()) {
+    if (bad_primes > opt.max_bad_primes || stream_exhausted) {
+      // Every prime looking bad is exactly what a singular input produces
+      // (and an exhausted stream has none left); only the generic route can
+      // prove or refute that.
+      sort_diags();
       run_generic(Status::Ok());
       return out;
     }
@@ -605,10 +632,7 @@ inline CrtSolveResult crt_solve(const field::RationalField& f,
     }
   }
 
-  std::sort(out.diags.begin(), out.diags.end(),
-            [](const util::Diag& x, const util::Diag& y) {
-              return x.shard_prime_index < y.shard_prime_index;
-            });
+  sort_diags();
   if (out.ok) out.status = Status::Ok();
   return out;
 }

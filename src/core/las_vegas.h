@@ -2,9 +2,10 @@
 //
 // Each Theorem-4 attempt draws H, D, u and v; estimate (2) bounds its failure
 // rate, and a detected failure means a re-draw.  run_attempts is that loop,
-// once, for kp_solve / kp_det, Session::prepare and the scalar and block
-// Wiedemann solves and determinants.  An entry point supplies the attempt
-// body and its RedrawPolicy, plain data fixed at the call site.  Also here:
+// once, for the Theorem-4 attempt (detail::theorem4_attempts in
+// core/solver.h: kp_solve, kp_det, Session::prepare) and the scalar and block
+// Wiedemann solves.  An entry point supplies the attempt body and its
+// RedrawPolicy, plain data fixed at the call site.  Also here:
 // the two steps every charpoly route shares, the deg / g(0) gate and the
 // det(A) = (-1)^n g(0) / det(H D) finish.
 #pragma once

@@ -4,17 +4,20 @@
 // the Theorem-2 preconditioner, run the Krylov projection, recover the
 // characteristic polynomial g of A-tilde = A H D -- and a per-RHS phase: the
 // Cayley-Hamilton finish x-tilde = -(1/g_0) sum_j g_{j+1} A-tilde^j b, one
-// unpreconditioning, one Las Vegas verification.  A Session pins everything
-// the first phase produced:
+// unpreconditioning, one Las Vegas verification.  The first phase is the
+// one-shot solver's own attempt (detail::theorem4_attempts, core/solver.h)
+// on the iterative b = 1 route, so a session drawn from seed s matches
+// kp_solve(..., Prng(s), {.route = kIterative}) draw for draw.  A Session
+// pins the transcript that attempt leaves:
 //
 //   * ONE PreconditionedBox instance, so the Hankel symbol spectrum and any
 //     TransformedPoly caches inside it stay warm across every solve (the
 //     box holds H and D by value; copying it would drop the cached spectra,
 //     which is why the session is immovable and hands out batch solves
 //     rather than the box);
-//   * the charpoly transcript: g, the combination coefficients q_j, det(A),
-//     and the seeds that drew the preconditioner -- a solve failure is
-//     replayable in isolation;
+//   * g, the combination coefficients q_j and det(A); the seeds that drew H,
+//     D and u, v are in prepare_diags(), so a solve failure is replayable in
+//     isolation;
 //   * for Q (RationalSession below), the CRT prime set and shard transcript
 //     a previous solve certified, warm-starting the next one.
 //
@@ -73,8 +76,10 @@ inline const char* to_string(DegradationLevel level) {
 
 /// Per-session knobs (embedded in ServiceConfig for service-made sessions).
 struct SessionOptions {
-  /// Pipeline knobs for the prepare phase (sample size, attempts, route...).
-  /// `control` on it is ignored -- callers pass controls per call.
+  /// Pipeline knobs for the prepare phase (sample size, attempts, newton,
+  /// depth_optimal).  Sessions always run the iterative route at b = 1, so
+  /// `route` and `block_width` are ignored, as is `control` -- callers pass
+  /// controls per call.
   SolverOptions solver;
   /// Re-draws of the pinned transcript one solve_many call may spend on
   /// verify mismatches before giving up on the still-failing columns.
@@ -131,8 +136,10 @@ class Session {
   int verify_mismatch_streak() const { return mismatch_streak_; }
   std::uint64_t prepares() const { return prepares_; }
   std::uint64_t solves_completed() const { return solves_completed_; }
-  /// det(A) from the pinned transcript (valid once prepared()).
-  const E& det() const { return det_; }
+  /// det(A) and the charpoly of A-tilde from the pinned transcript (valid
+  /// once prepared()).
+  const E& det() const { return t_.det; }
+  const std::vector<E>& charpoly() const { return t_.g; }
 
   /// Closes the circuit breaker and forces a fresh transcript: the operator
   /// owner vouched for the session again (e.g. after fixing a faulty
@@ -143,95 +150,33 @@ class Session {
     prepared_ = false;
   }
 
-  /// Phase 1: draw the preconditioner and recover the charpoly transcript.
-  /// Las Vegas with full redraws and |S| escalation (the stage-targeted
-  /// variant lives in the one-shot solver; sessions prefer the simpler
-  /// policy because a redraw here is amortized over many solves).  Also
-  /// detects singular operators: g(0) = 0 on every attempt surfaces as the
-  /// usual kZeroConstantTerm failure and the dense path can prove
-  /// kSingularInput.
+  /// Phase 1: the Theorem-4 attempt on the iterative b = 1 route, with full
+  /// redraws and |S| escalation (one re-drawable component: a redraw here is
+  /// amortized over many solves).  Each call forks its streams afresh from
+  /// the session's Prng.  A singular operator fails every attempt with the
+  /// usual kZeroConstantTerm, and the dense path can prove kSingularInput.
   util::Status prepare(const util::ExecControl* control = nullptr) {
-    using util::FailureKind;
-    using util::Stage;
-    using util::Status;
     prepared_ = false;
     if (n_ == 0) {
-      return Status::Fail(FailureKind::kInvalidArgument, Stage::kNone,
-                          "operator dimension is zero");
+      return util::Status::Fail(util::FailureKind::kInvalidArgument,
+                                util::Stage::kNone,
+                                "operator dimension is zero");
     }
-    // One re-drawable component: every attempt forks a single stream for
-    // H, D, u and v.
-    const detail::RedrawPolicy policy{
-        .max_attempts =
-            opt_.solver.max_attempts < 1 ? 1 : opt_.solver.max_attempts,
-        .components = 1,
-        .escalate_sample_size = true};
-    const auto out = detail::run_attempts(
-        policy, opt_.solver.sample_size, &prepare_diags_,
-        [&](int, std::uint64_t s, detail::Redraw redraw,
-            util::Diag& diag) -> Status {
-          diag.redrew_precondition = redraw.precondition;
-          diag.redrew_projection = redraw.projection;
-          ++prepares_;
-          if (Status ctl = util::ExecControl::check(control, Stage::kDraw);
-              !ctl.ok()) {
-            return ctl;
-          }
-          if (KP_FAULT_POINT(Stage::kDraw)) {
-            return Status::Injected(FailureKind::kInjectedFault, Stage::kDraw);
-          }
-          kp::util::Prng draw =
-              prng_.fork(0x73657373696f6e00ULL + static_cast<std::uint64_t>(
-                                                     ++transcript_serial_));
-          diag.precondition_seed = diag.projection_seed = draw.seed();
-          pre_ = Preconditioner<F>::draw(f_, n_, draw, s);
-          if (KP_FAULT_POINT(Stage::kPrecondition)) {
-            return Status::Injected(FailureKind::kSingularPrecondition,
-                                    Stage::kPrecondition);
-          }
-          for (const auto& d : pre_->diagonal.entries()) {
-            if (f_.is_zero(d)) {
-              return Status::Fail(FailureKind::kSingularPrecondition,
-                                  Stage::kPrecondition,
-                                  "zero diagonal entry: det(D) = 0");
-            }
-          }
-          // Rebuild the pinned box from the fresh H, D.  This is THE box every
-          // subsequent batch runs through -- its cached Hankel spectrum warms
-          // on the first product and stays for the session's lifetime.
-          box_.emplace(f_, ring_, a_, pre_->hankel, pre_->diagonal);
-
-          std::vector<E> u(n_), v(n_);
-          for (auto& e : u) e = f_.sample(draw, s);
-          for (auto& e : v) e = f_.sample(draw, s);
-          const auto seq =
-              matrix::krylov_sequence_iterative(f_, *box_, u, v, 2 * n_);
-          if (KP_FAULT_POINT(Stage::kProjection)) {
-            return Status::Injected(FailureKind::kDegenerateProjection,
-                                    Stage::kProjection);
-          }
-          if (Status ctl =
-                  util::ExecControl::check(control, Stage::kCharpoly);
-              !ctl.ok()) {
-            return ctl;
-          }
-          std::vector<E> g;
-          Status gst = detail::generator_from_sequence_status(
-              f_, seq, n_, opt_.solver, g);
-          if (!gst.ok()) return gst;
-
-          auto det = detail::det_from_charpoly(f_, *pre_, g, opt_.solver.newton,
-                                               opt_.solver.depth_optimal);
-          if (!det.ok()) return det.status();
-          det_ = det.take();
-          q_ = solution_combination(f_, g);
-          if (q_.empty()) {
-            return Status::Fail(FailureKind::kZeroConstantTerm,
-                                Stage::kCharpoly, "g(0) = 0: A-tilde singular");
-          }
-          g_ = std::move(g);
-          return Status::Ok();
+    SolverOptions opt = opt_.solver;
+    opt.route = KrylovRoute::kIterative;
+    opt.block_width = 1;
+    opt.control = control;
+    const std::size_t before = prepare_diags_.size();
+    const auto out = detail::theorem4_attempts(
+        f_, ring_, a_, nullptr, prng_, opt,
+        {.max_attempts = opt.max_attempts < 1 ? 1 : opt.max_attempts,
+         .components = 1,
+         .escalate_sample_size = true},
+        &prepare_diags_, t_, [&] {
+          q_ = solution_combination(f_, t_.g);
+          return util::Status::Ok();
         });
+    prepares_ += prepare_diags_.size() - before;
     prepared_ = out.status.ok();
     return out.status;
   }
@@ -318,7 +263,7 @@ class Session {
             break;
           }
         }
-        if (j) w = matrix::apply_columns(*box_, w);
+        if (j) w = matrix::apply_columns(*t_.box, w);
         if (f_.eq(q_[j], f_.zero())) continue;
         for (std::size_t c = 0; c < pending.size(); ++c) {
           for (std::size_t i = 0; i < n_; ++i) {
@@ -335,7 +280,7 @@ class Session {
       // so a wrong transcript can never leak a wrong answer (Las Vegas).
       std::vector<std::vector<E>> xs(pending.size());
       for (std::size_t c = 0; c < pending.size(); ++c) {
-        xs[c] = pre_->unprecondition(f_, ring_, x[c]);
+        xs[c] = t_.pre->unprecondition(f_, ring_, x[c]);
       }
       std::vector<std::size_t> verify_cols;
       std::vector<const std::vector<E>*> verify_ptrs;
@@ -470,14 +415,10 @@ class Session {
   std::size_t n_;
   SessionOptions opt_;
   kp::util::Prng prng_;
-  std::uint64_t transcript_serial_ = 0;
 
-  // The pinned transcript.
-  std::optional<Preconditioner<F>> pre_;
-  std::optional<matrix::PreconditionedBox<F, matrix::AnyBox<F>>> box_;
-  std::vector<E> g_;  ///< charpoly of A-tilde
+  // The pinned transcript: H, D, the A-tilde box, g and det(A).
+  detail::Transcript<F, matrix::AnyBox<F>> t_;
   std::vector<E> q_;  ///< combination coefficients -g_{j+1}/g_0
-  E det_{};
   bool prepared_ = false;
   std::optional<matrix::Matrix<F>> dense_;  ///< lazy baseline materialization
 

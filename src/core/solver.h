@@ -35,8 +35,9 @@
 //   * Every detected failure carries a util::Status naming its FailureKind
 //     and Stage, and every attempt leaves a util::Diag (seeds, what was
 //     re-drawn, op cost) in SolveResult::diags.
-//   * The attempt loop itself is detail::run_attempts (core/las_vegas.h),
-//     shared with Session::prepare and the Wiedemann routes.
+//   * One attempt, detail::theorem4_attempts, serves kp_solve, kp_det and
+//     Session::prepare; its loop is detail::run_attempts (core/las_vegas.h),
+//     shared with the Wiedemann solves.
 //   * Retries are STAGE-TARGETED: the paper's failure events are
 //     independent, so a degenerate u/v projection (Lemma 2) re-draws only
 //     u, v; a singular/unlucky preconditioner (Theorem 2 / estimate (1))
@@ -203,12 +204,17 @@ util::Status generator_from_sequence_status(
   return Status::Ok();
 }
 
-/// Effective block width for the iterative route: SolverOptions::block_width
-/// under the clamps of the Wiedemann routes (core/wiedemann.h).
+/// Effective block width of the iterative route: SolverOptions::block_width
+/// clamped to n, or 1 (the scalar sequence) when blocking is off, the system
+/// is trivial, or the field cannot supply the 2n + 2 distinct evaluation
+/// points the sigma-basis det-by-interpolation recovery may need.
 template <kp::field::Field F>
 std::size_t effective_block_width(const F& f, const SolverOptions& opt,
                                   std::size_t n) {
-  return effective_block_width(f, opt.block_width, n);
+  if (opt.block_width <= 1 || n <= 1) return 1;
+  const std::uint64_t p = f.characteristic();
+  if (p != 0 && p < 2 * n + 2) return 1;
+  return opt.block_width < n ? opt.block_width : n;
 }
 
 /// Dense A-tilde for the doubling route: the O(n^2 polylog) Hankel-product
@@ -269,11 +275,157 @@ void dense_fallback_run(const F& f, const B& a,
   res.status = util::Status::Ok();
 }
 
-/// The Theorem-4 attempt behind kp_solve (rhs != nullptr) and kp_det
-/// (rhs == nullptr), run on the shared Las Vegas loop: the pipelines differ
-/// only in whether steps 4b-5 solve and verify.  Two independently
-/// re-drawable components, |S| doubled on each full restart, and the
-/// per-attempt op budget.
+/// What the successful Theorem-4 attempt leaves for its caller: H and D, the
+/// charpoly g of A-tilde = A H D and det(A); on the iterative routes also the
+/// lazily composed A-tilde, and with a right-hand side x-tilde = A-tilde^{-1}
+/// b.  The doubling route's dense A-tilde and Krylov blocks stay local to the
+/// attempt.
+template <kp::field::Field F, matrix::LinOp B>
+struct Transcript {
+  std::optional<Preconditioner<F>> pre;
+  std::optional<matrix::PreconditionedBox<F, B>> box;
+  std::vector<typename F::Element> g;
+  typename F::Element det{};
+  std::vector<typename F::Element> xt;
+};
+
+/// The Theorem-4 attempt loop (steps 1-5) behind kp_solve, kp_det and
+/// Session::prepare, on the caller's RedrawPolicy.  H, D and u, v come from
+/// two streams forked off `prng`, so a targeted re-draw of one component
+/// leaves the other's randomness untouched.  `finish()` closes every attempt
+/// that reached det(A) -- kp_solve's unprecondition and verify -- and its
+/// failure fails the attempt.  The outcome's transcript is `t`.
+template <kp::field::Field F, matrix::LinOp B, class Finish>
+  requires std::same_as<typename B::Element, typename F::Element>
+AttemptsOutcome theorem4_attempts(const F& f, const kp::poly::PolyRing<F>& ring,
+                                  const B& a,
+                                  const std::vector<typename F::Element>* rhs,
+                                  kp::util::Prng& prng, const SolverOptions& opt,
+                                  const RedrawPolicy& policy,
+                                  std::vector<util::Diag>* diags,
+                                  Transcript<F, B>& t, Finish&& finish) {
+  using E = typename F::Element;
+  using util::FailureKind;
+  using util::Stage;
+  using util::Status;
+  const std::size_t n = a.dim();
+  const auto route = resolve_route(opt.route, matrix::box_structure(a));
+  kp::util::Prng pre_stream = prng.fork(0x7072652d48440000ULL);   // "pre-HD"
+  kp::util::Prng proj_stream = prng.fork(0x70726f6a2d757600ULL);  // "proj-uv"
+  std::vector<E> u(n), v(n);
+  std::uint64_t pre_seed = 0, proj_seed = 0;
+
+  return run_attempts(
+      policy, opt.sample_size, diags,
+      [&](int attempt, std::uint64_t s, Redraw redraw,
+          util::Diag& diag) -> Status {
+        // Deadline/cancellation checks share the fault-point boundaries: one
+        // at the draw, one after the Krylov work, one before verification.
+        if (Status ctl = util::ExecControl::check(opt.control, Stage::kDraw);
+            !ctl.ok()) {
+          return ctl;
+        }
+        if (KP_FAULT_POINT(Stage::kDraw)) {
+          return Status::Injected(FailureKind::kInjectedFault, Stage::kDraw);
+        }
+        if (redraw.precondition) {
+          kp::util::Prng r =
+              pre_stream.fork(static_cast<std::uint64_t>(attempt));
+          pre_seed = r.seed();
+          t.pre = Preconditioner<F>::draw(f, n, r, s);
+        }
+        if (redraw.projection) {
+          kp::util::Prng r =
+              proj_stream.fork(static_cast<std::uint64_t>(attempt));
+          proj_seed = r.seed();
+          for (auto& e : u) e = f.sample(r, s);
+          for (auto& e : v) e = f.sample(r, s);
+        }
+        diag.precondition_seed = pre_seed;
+        diag.projection_seed = proj_seed;
+        diag.redrew_precondition = redraw.precondition;
+        diag.redrew_projection = redraw.projection;
+
+        // Proactive Theorem-2 check: a zero diagonal entry makes D -- hence
+        // A-tilde -- singular; catch it before spending the Krylov work.
+        if (KP_FAULT_POINT(Stage::kPrecondition)) {
+          return Status::Injected(FailureKind::kSingularPrecondition,
+                                  Stage::kPrecondition);
+        }
+        for (const auto& d : t.pre->diagonal.entries()) {
+          if (f.is_zero(d)) {
+            return Status::Fail(FailureKind::kSingularPrecondition,
+                                Stage::kPrecondition,
+                                "zero diagonal entry: det(D) = 0");
+          }
+        }
+
+        if (route == KrylovRoute::kDoubling) {
+          const auto at = dense_preconditioned(f, ring, a, *t.pre);
+          // a_i = u A-tilde^i v by doubling (9); with a right-hand side the
+          // same pass over the powers A-tilde^{2^j} also builds the Krylov
+          // block of b for the finish.
+          const auto blocks =
+              rhs ? krylov_blocks(f, at, {&v, rhs}, {2 * n, n}, opt.matmul)
+                  : krylov_blocks(f, at, {&v}, {2 * n}, opt.matmul);
+          const auto seq = matrix::vec_mat(f, u, blocks[0]);
+          if (KP_FAULT_POINT(Stage::kProjection)) {
+            return Status::Injected(FailureKind::kDegenerateProjection,
+                                    Stage::kProjection);
+          }
+          Status gst = generator_from_sequence_status(f, seq, n, opt, t.g);
+          if (!gst.ok()) return gst;
+          if (rhs) {
+            // Cayley-Hamilton solve of A-tilde xt = b through the Krylov block.
+            t.xt = krylov_combine(f, blocks[1], solution_combination(f, t.g));
+          }
+        } else {
+          // The iterative routes compose A*H*D lazily and keep it.
+          const auto& at = t.box.emplace(f, ring, a, t.pre->hankel,
+                                         t.pre->diagonal);
+          if (const std::size_t bw = effective_block_width(f, opt, n);
+              bw > 1) {
+            // Block route: ~2n/bw batched block applies feeding the
+            // sigma-basis.  U, V are re-derived from the recorded projection
+            // seed, so a kept projection replays bit-identically and a redraw
+            // targets only this stream.
+            kp::util::Prng br{proj_seed};
+            auto g_or = detail::block_charpoly_candidate(f, at, bw, br, s);
+            if (!g_or.ok()) return g_or.status();
+            t.g = g_or.take();
+            Status gst = check_charpoly(f, t.g, n, Stage::kBlockGenerator);
+            if (!gst.ok()) return gst;
+          } else {
+            // Route (8): 2n products with A-tilde.
+            const auto seq =
+                matrix::krylov_sequence_iterative(f, at, u, v, 2 * n);
+            if (KP_FAULT_POINT(Stage::kProjection)) {
+              return Status::Injected(FailureKind::kDegenerateProjection,
+                                      Stage::kProjection);
+            }
+            Status gst = generator_from_sequence_status(f, seq, n, opt, t.g);
+            if (!gst.ok()) return gst;
+          }
+          if (rhs) t.xt = solve_from_annihilator(f, at, t.g, *rhs);
+        }
+
+        if (Status ctl =
+                util::ExecControl::check(opt.control, Stage::kSolveFinish);
+            !ctl.ok()) {
+          return ctl;
+        }
+        auto det_a =
+            det_from_charpoly(f, *t.pre, t.g, opt.newton, opt.depth_optimal);
+        if (!det_a.ok()) return det_a.status();
+        t.det = det_a.take();
+        return finish();
+      });
+}
+
+/// kp_solve (rhs != nullptr) and kp_det (rhs == nullptr): the Theorem-4
+/// attempts with two independently re-drawable components, |S| doubled on
+/// each full restart and the per-attempt op budget; a right-hand side adds
+/// the unprecondition and Las Vegas verify steps to every attempt.
 template <kp::field::Field F, matrix::LinOp B>
   requires std::same_as<typename B::Element, typename F::Element>
 SolveResult<F> theorem4_run(const F& f, const B& a,
@@ -305,159 +457,49 @@ SolveResult<F> theorem4_run(const F& f, const B& a,
   }
 
   kp::poly::PolyRing<F> ring(f);
-  const auto route = resolve_route(opt.route, matrix::box_structure(a));
-  res.route_used = route;
-
-  // Independent per-component streams: a targeted re-draw of one component
-  // advances only its own stream, so the other component's randomness (and
-  // hence any backend-independent reproducibility) is untouched.
-  kp::util::Prng pre_stream = prng.fork(0x7072652d48440000ULL);   // "pre-HD"
-  kp::util::Prng proj_stream = prng.fork(0x70726f6a2d757600ULL);  // "proj-uv"
-
-  std::optional<Preconditioner<F>> pre;
-  std::vector<E> u(n), v(n);
-  std::uint64_t pre_seed = 0, proj_seed = 0;
-
-  const RedrawPolicy policy{.max_attempts = opt.max_attempts,
-                            .components = 2,
-                            .escalate_sample_size = true,
-                            .op_budget = opt.op_budget_per_attempt};
-  const AttemptsOutcome out = run_attempts(
-      policy, opt.sample_size, opt.collect_diag ? &res.diags : nullptr,
-      [&](int attempt, std::uint64_t s, Redraw redraw,
-          util::Diag& diag) -> Status {
-        // Deadline/cancellation checks share the fault-point boundaries: one
-        // at the draw, one after the Krylov work, one before verification.
-        if (Status ctl = util::ExecControl::check(opt.control, Stage::kDraw);
-            !ctl.ok()) {
-          return ctl;
+  res.route_used = resolve_route(opt.route, matrix::box_structure(a));
+  Transcript<F, B> t;
+  std::vector<E> x;
+  const AttemptsOutcome out = theorem4_attempts(
+      f, ring, a, rhs, prng, opt,
+      {.max_attempts = opt.max_attempts,
+       .components = 2,
+       .escalate_sample_size = true,
+       .op_budget = opt.op_budget_per_attempt},
+      opt.collect_diag ? &res.diags : nullptr, t, [&]() -> Status {
+        if (!rhs) return Status::Ok();
+        if (KP_FAULT_POINT(Stage::kSolveFinish)) {
+          return Status::Injected(FailureKind::kVerifyMismatch,
+                                  Stage::kSolveFinish);
         }
-        if (KP_FAULT_POINT(Stage::kDraw)) {
-          return Status::Injected(FailureKind::kInjectedFault, Stage::kDraw);
-        }
-        if (redraw.precondition) {
-          kp::util::Prng r =
-              pre_stream.fork(static_cast<std::uint64_t>(attempt));
-          pre_seed = r.seed();
-          pre = Preconditioner<F>::draw(f, n, r, s);
-        }
-        if (redraw.projection) {
-          kp::util::Prng r =
-              proj_stream.fork(static_cast<std::uint64_t>(attempt));
-          proj_seed = r.seed();
-          for (auto& e : u) e = f.sample(r, s);
-          for (auto& e : v) e = f.sample(r, s);
-        }
-        diag.precondition_seed = pre_seed;
-        diag.projection_seed = proj_seed;
-        diag.redrew_precondition = redraw.precondition;
-        diag.redrew_projection = redraw.projection;
-
-        // Proactive Theorem-2 check: a zero diagonal entry makes D -- hence
-        // A-tilde -- singular; catch it before spending the Krylov work.
-        if (KP_FAULT_POINT(Stage::kPrecondition)) {
-          return Status::Injected(FailureKind::kSingularPrecondition,
-                                  Stage::kPrecondition);
-        }
-        for (const auto& d : pre->diagonal.entries()) {
-          if (f.is_zero(d)) {
-            return Status::Fail(FailureKind::kSingularPrecondition,
-                                Stage::kPrecondition,
-                                "zero diagonal entry: det(D) = 0");
+        x = t.pre->unprecondition(f, ring, t.xt);
+        if (opt.verify) {
+          if (Status ctl = util::ExecControl::check(opt.control, Stage::kVerify);
+              !ctl.ok()) {
+            return ctl;
           }
-        }
-
-        std::vector<E> g;   // charpoly of A-tilde
-        std::vector<E> xt;  // A-tilde^{-1} b
-        if (route == KrylovRoute::kDoubling) {
-          const auto at = dense_preconditioned(f, ring, a, *pre);
-          // a_i = u A-tilde^i v by doubling (9); with a right-hand side the
-          // same pass over the powers A-tilde^{2^j} also builds the Krylov
-          // block of b for the finish.
-          const auto blocks =
-              rhs ? krylov_blocks(f, at, {&v, rhs}, {2 * n, n}, opt.matmul)
-                  : krylov_blocks(f, at, {&v}, {2 * n}, opt.matmul);
-          const auto seq = matrix::vec_mat(f, u, blocks[0]);
-          if (KP_FAULT_POINT(Stage::kProjection)) {
-            return Status::Injected(FailureKind::kDegenerateProjection,
-                                    Stage::kProjection);
-          }
-          Status gst = generator_from_sequence_status(f, seq, n, opt, g);
-          if (!gst.ok()) return gst;
-          if (rhs) {
-            // Cayley-Hamilton solve of A-tilde xt = b through the Krylov block.
-            xt = krylov_combine(f, blocks[1], solution_combination(f, g));
-          }
-        } else if (const std::size_t bw = effective_block_width(f, opt, n);
-                   bw > 1) {
-          // Block route: ~2n/bw batched block applies feeding the sigma-basis,
-          // then the same annihilator finish as the scalar path.  U, V are
-          // re-derived from the recorded projection seed, so a kept projection
-          // replays bit-identically and a redraw targets only this stream.
-          const auto at = pre->box(f, ring, a);
-          kp::util::Prng br{proj_seed};
-          auto g_or = detail::block_charpoly_candidate(f, at, bw, br, s);
-          if (!g_or.ok()) return g_or.status();
-          g = g_or.take();
-          Status gst = check_charpoly(f, g, n, Stage::kBlockGenerator);
-          if (!gst.ok()) return gst;
-          if (rhs) xt = solve_from_annihilator(f, at, g, *rhs);
-        } else {
-          // Route (8): 2n products with the lazily composed A*H*D.
-          const auto at = pre->box(f, ring, a);
-          const auto seq =
-              matrix::krylov_sequence_iterative(f, at, u, v, 2 * n);
-          if (KP_FAULT_POINT(Stage::kProjection)) {
-            return Status::Injected(FailureKind::kDegenerateProjection,
-                                    Stage::kProjection);
-          }
-          Status gst = generator_from_sequence_status(f, seq, n, opt, g);
-          if (!gst.ok()) return gst;
-          if (rhs) xt = solve_from_annihilator(f, at, g, *rhs);
-        }
-
-        if (Status ctl =
-                util::ExecControl::check(opt.control, Stage::kSolveFinish);
-            !ctl.ok()) {
-          return ctl;
-        }
-        auto det_a =
-            det_from_charpoly(f, *pre, g, opt.newton, opt.depth_optimal);
-        if (!det_a.ok()) return det_a.status();
-
-        std::vector<E> x;
-        if (rhs) {
-          if (KP_FAULT_POINT(Stage::kSolveFinish)) {
+          if (KP_FAULT_POINT(Stage::kVerify)) {
             return Status::Injected(FailureKind::kVerifyMismatch,
-                                    Stage::kSolveFinish);
+                                    Stage::kVerify);
           }
-          x = pre->unprecondition(f, ring, xt);
-          if (opt.verify) {
-            if (Status ctl =
-                    util::ExecControl::check(opt.control, Stage::kVerify);
-                !ctl.ok()) {
-              return ctl;
-            }
-            if (KP_FAULT_POINT(Stage::kVerify)) {
-              return Status::Injected(FailureKind::kVerifyMismatch,
-                                      Stage::kVerify);
-            }
-            if (a.apply(x) != *rhs) {
-              return Status::Fail(FailureKind::kVerifyMismatch, Stage::kVerify,
-                                  "A x != b");
-            }
+          if (a.apply(x) != *rhs) {
+            return Status::Fail(FailureKind::kVerifyMismatch, Stage::kVerify,
+                                "A x != b");
           }
         }
-        res.x = std::move(x);
-        res.det = det_a.take();
-        res.charpoly_at = std::move(g);
         return Status::Ok();
       });
   res.ok = out.status.ok();
   res.attempts = out.attempts;
   res.status = out.status;
   res.sample_size_used = out.sample_size;
-  if (res.ok || util::is_control_failure(out.status.kind())) return res;
+  if (res.ok) {
+    res.x = std::move(x);
+    res.det = t.det;
+    res.charpoly_at = std::move(t.g);
+    return res;
+  }
+  if (util::is_control_failure(out.status.kind())) return res;
 
   // Exhausted (or budget-stopped).  When the sample set could never carry
   // the est.-(2) bound, say so: the caller should route through the

@@ -8,23 +8,22 @@
 //   * wiedemann_minpoly       -- minimum polynomial of the projected sequence
 //   * wiedemann_singular_test -- Las Vegas "det(A) = 0" certificate
 //   * wiedemann_solve_status  -- non-singular solve, Las Vegas (verifies Ax=b)
-//   * wiedemann_det           -- determinant via the Theorem-2 preconditioner
 //
-// plus their block forms (block_wiedemann_solve_status, block_wiedemann_det)
-// on width-b projections and the sigma-basis generator.  The Las Vegas
-// entries run on the shared attempt loop of core/las_vegas.h: per-attempt
-// Diag records, util::Status failures, and re-draws of only the implicated
-// component.
+// plus block_wiedemann_solve_status on width-b projections and the
+// sigma-basis generator, and the block charpoly step of kp_det's block
+// route.  The Wiedemann determinant with the Theorem-2 preconditioner is
+// kp_det on the iterative route (core/solver.h; block_width picks the scalar
+// or the block sequence).  The Las Vegas entries run on the shared attempt
+// loop of core/las_vegas.h: per-attempt Diag records, util::Status failures,
+// and re-draws of only the implicated component.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/annihilator.h"
 #include "core/block_krylov.h"
 #include "core/las_vegas.h"
-#include "core/preconditioners.h"
 #include "field/concepts.h"
 #include "matrix/blackbox.h"
 #include "seq/berlekamp_massey.h"
@@ -140,30 +139,7 @@ WiedemannSolveResult<F> wiedemann_solve_status(
   return res;
 }
 
-/// Result of the randomized determinant.
-template <kp::field::Field F>
-struct DetResult {
-  bool ok = false;                 ///< false: unlucky randomness (or singular)
-  typename F::Element value{};     ///< det(A) when ok
-  int attempts = 0;
-  util::Status status;
-  std::vector<util::Diag> diags;   ///< one record per attempt
-};
-
 namespace detail {
-
-/// Effective block width of the iterative routes: the requested width
-/// clamped to n, or 1 (the scalar sequence) when blocking is off, the system
-/// is trivial, or the field cannot supply the 2n + 2 distinct evaluation
-/// points the sigma-basis det-by-interpolation recovery may need.
-template <kp::field::Field F>
-std::size_t effective_block_width(const F& f, std::size_t requested,
-                                  std::size_t n) {
-  if (requested <= 1 || n <= 1) return 1;
-  const std::uint64_t p = f.characteristic();
-  if (p != 0 && p < 2 * n + 2) return 1;
-  return requested < n ? requested : n;
-}
 
 /// One block-Wiedemann charpoly attempt: draw U (b x n rows) and V (b
 /// columns) from `r`, run the block Krylov sequence and the sigma-basis,
@@ -327,103 +303,6 @@ WiedemannSolveResult<F> block_wiedemann_solve_status(
   res.attempts = out.attempts;
   res.status = out.status;
   return res;
-}
-
-/// Determinant of a non-singular A by Wiedemann's method with the
-/// Saunders/Theorem-2 preconditioner: A-tilde = A H D has minimum polynomial
-/// = characteristic polynomial w.h.p., so a generator g of its projected
-/// Krylov sequence with deg g = n is that charpoly, and
-/// det(A) = (-1)^n g(0) / det(H D).  The generator comes from
-/// Berlekamp-Massey on the scalar sequence u A-tilde^i v (block_width 1), or
-/// from the sigma-basis on the block sequence U A-tilde^i V (block_width > 1;
-/// fields too small for its det-by-interpolation step, characteristic
-/// <= 2n + 1, use the scalar sequence).  Failure probability <= 3n^2/|S| per
-/// attempt (estimate (2)).  Retries are stage-targeted like the Theorem-4
-/// solver: a degenerate projection or generator re-draws only the
-/// projection, a zero constant term or singular H/D re-draws only the
-/// preconditioner, and a repeat of the same component restarts both.
-template <kp::field::Field F>
-DetResult<F> block_wiedemann_det(const F& f, const matrix::Matrix<F>& a,
-                                 kp::util::Prng& prng, std::uint64_t s,
-                                 std::size_t block_width, int max_attempts = 3) {
-  using util::FailureKind;
-  using util::Stage;
-  using util::Status;
-  DetResult<F> res;
-  const std::size_t n = a.rows();
-  const Status valid =
-      util::Require(a.is_square() && n > 0 && max_attempts >= 1,
-                    FailureKind::kInvalidArgument, Stage::kNone,
-                    "A must be square and max_attempts >= 1");
-  if (!valid.ok()) {
-    res.status = valid;
-    return res;
-  }
-  const std::size_t bw = detail::effective_block_width(f, block_width, n);
-  kp::poly::PolyRing<F> ring(f);
-
-  kp::util::Prng pre_stream = prng.fork(0x7072652d48440000ULL);   // "pre-HD"
-  kp::util::Prng proj_stream = prng.fork(0x70726f6a2d757600ULL);  // "proj-uv"
-  std::optional<Preconditioner<F>> pre;
-  std::optional<matrix::Matrix<F>> at;
-  std::uint64_t pre_seed = 0, proj_seed = 0;
-
-  const auto out = detail::run_attempts(
-      {.max_attempts = max_attempts}, s, &res.diags,
-      [&](int attempt, std::uint64_t, detail::Redraw redraw,
-          util::Diag& diag) -> Status {
-        if (redraw.precondition) {
-          kp::util::Prng r =
-              pre_stream.fork(static_cast<std::uint64_t>(attempt));
-          pre_seed = r.seed();
-          pre = Preconditioner<F>::draw(f, n, r, s);
-          at = pre->apply_dense(f, ring, a);
-        }
-        diag.precondition_seed = pre_seed;
-        diag.redrew_precondition = redraw.precondition;
-        diag.redrew_projection = redraw.projection;
-
-        matrix::DenseBox<F> box(f, *at);
-        // A kept projection replays its recorded seed bit-for-bit (fork()
-        // consumes parent state, so re-forking would NOT reproduce it).
-        if (redraw.projection) {
-          proj_seed =
-              proj_stream.fork(static_cast<std::uint64_t>(attempt)).seed();
-        }
-        kp::util::Prng r{proj_seed};
-        diag.projection_seed = proj_seed;
-        std::vector<typename F::Element> g;
-        if (bw == 1) {
-          if (KP_FAULT_POINT(Stage::kProjection)) {
-            return Status::Injected(FailureKind::kDegenerateProjection,
-                                    Stage::kProjection);
-          }
-          g = wiedemann_minpoly(f, box, r, s);
-        } else {
-          auto g_or = detail::block_charpoly_candidate(f, box, bw, r, s);
-          if (!g_or.ok()) return g_or.status();
-          g = g_or.take();
-        }
-        const Status gst = detail::check_charpoly(
-            f, g, n, bw == 1 ? Stage::kProjection : Stage::kBlockGenerator);
-        if (!gst.ok()) return gst;
-        auto det = detail::det_from_charpoly(f, *pre, g);
-        if (!det.ok()) return det.status();
-        res.value = det.take();
-        return Status::Ok();
-      });
-  res.ok = out.status.ok();
-  res.attempts = out.attempts;
-  res.status = out.status;
-  return res;
-}
-
-/// Scalar-sequence form of block_wiedemann_det (block_width 1).
-template <kp::field::Field F>
-DetResult<F> wiedemann_det(const F& f, const matrix::Matrix<F>& a,
-                           kp::util::Prng& prng, std::uint64_t s,
-                           int max_attempts = 3) {
-  return block_wiedemann_det(f, a, prng, s, 1, max_attempts);
 }
 
 }  // namespace kp::core

@@ -419,9 +419,11 @@ class Vandermonde {
   std::vector<Element> solve(const kp::poly::PolyRing<F>& ring,
                              const std::vector<Element>& values) const {
     assert(rows() == cols_ && values.size() == rows());
-    auto p = kp::poly::interpolate(ring, x_, values);
-    p.resize(cols_, ring.base().zero());
-    return p;
+    auto p = kp::poly::interpolate_status(ring, x_, values);
+    assert(p.ok() && "Vandermonde nodes must be distinct");
+    std::vector<Element> c = p.ok() ? p.take() : ring.zero();
+    c.resize(cols_, ring.base().zero());
+    return c;
   }
 
  private:

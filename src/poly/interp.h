@@ -84,17 +84,4 @@ kp::util::StatusOr<typename PolyRing<F>::Element> interpolate_status(
   return acc;
 }
 
-/// Assert-on-distinctness convenience wrapper around interpolate_status, for
-/// call sites that guarantee distinct points by construction (returns the
-/// zero polynomial on failure in release builds).
-template <kp::field::Field F>
-typename PolyRing<F>::Element interpolate(
-    const PolyRing<F>& ring, const std::vector<typename F::Element>& points,
-    const std::vector<typename F::Element>& values) {
-  auto r = interpolate_status(ring, points, values);
-  assert(r.ok() && "interpolation points must be distinct");
-  if (!r.ok()) return ring.zero();
-  return r.take();
-}
-
 }  // namespace kp::poly

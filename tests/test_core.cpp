@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -580,6 +581,85 @@ TEST(DepthOptimalTest, CrtSolveSameAnswerAndShards) {
 }
 
 // ---------------------------------------------------------------------------
+// Route agreement: kp_solve, kp_det and Session run one Theorem-4 attempt.
+
+template <class G, class Box>
+void expect_routes_agree(const G& g, const Box& box, const Matrix<G>& dense,
+                         std::uint64_t seed, const std::string& at) {
+  using E = typename G::Element;
+  const std::size_t n = box.dim();
+  const E det = matrix::det_gauss(g, dense);
+  ASSERT_FALSE(g.is_zero(det)) << at;
+  util::Prng gen(seed);
+  std::vector<E> b(n);
+  for (auto& e : b) e = g.random(gen);
+
+  // A session drawn from `seed` is kp_solve on the iterative b = 1 route
+  // from Prng(seed), draw for draw.
+  util::Prng p(seed);
+  const auto one = core::kp_solve(g, box, b, p,
+                                  {.route = core::KrylovRoute::kIterative});
+  ASSERT_TRUE(one.ok) << at << ": " << one.status.message();
+  core::Session<G> sess(g, matrix::AnyBox<G>(box), seed);
+  ASSERT_TRUE(sess.prepare().ok()) << at;
+  const auto item = sess.solve_one(b);
+  ASSERT_TRUE(item.status.ok()) << at << ": " << item.status.message();
+  EXPECT_EQ(item.x, one.x) << at;
+  EXPECT_EQ(sess.det(), one.det) << at;
+  EXPECT_EQ(sess.charpoly(), one.charpoly_at) << at;
+  ASSERT_FALSE(sess.prepare_diags().empty()) << at;
+  ASSERT_FALSE(one.diags.empty()) << at;
+  EXPECT_EQ(sess.prepare_diags().front().precondition_seed,
+            one.diags.front().precondition_seed)
+      << at;
+  EXPECT_EQ(sess.prepare_diags().front().projection_seed,
+            one.diags.front().projection_seed)
+      << at;
+
+  // kp_det on the doubling route and on the iterative route at b = 1, 2, 4.
+  auto det_on = [&](core::KrylovRoute route, std::size_t bw) {
+    util::Prng q(seed + 1);
+    return core::kp_det(g, box, q, {.route = route, .block_width = bw});
+  };
+  const auto dbl = det_on(core::KrylovRoute::kDoubling, 1);
+  ASSERT_TRUE(dbl.ok) << at << ": " << dbl.status.message();
+  EXPECT_EQ(dbl.det, det) << at << " doubling";
+  for (const std::size_t bw : {1u, 2u, 4u}) {
+    const auto it = det_on(core::KrylovRoute::kIterative, bw);
+    ASSERT_TRUE(it.ok) << at << " b=" << bw << ": " << it.status.message();
+    EXPECT_EQ(it.det, det) << at << " iterative b=" << bw;
+  }
+}
+
+template <class G>
+void route_agreement_sweep(const G& g, std::uint64_t seed) {
+  util::Prng gen(seed);
+  for (const std::size_t n : {1u, 2u, 5u, 16u, 33u}) {
+    const std::string at = "n=" + std::to_string(n);
+    Matrix<G> a(1, 1, g.zero());
+    do {
+      a = matrix::random_matrix(g, n, n, gen);
+    } while (g.is_zero(matrix::det_gauss(g, a)));
+    expect_routes_agree(g, matrix::DenseBox<G>(g, a), a, seed + n,
+                        "dense " + at);
+    std::optional<matrix::Sparse<G>> sp;
+    do {
+      sp = matrix::Sparse<G>::random(g, n, 3, gen);
+    } while (g.is_zero(matrix::det_gauss(g, sp->to_dense(g))));
+    expect_routes_agree(g, matrix::SparseBox<G>(g, *sp), sp->to_dense(g),
+                        seed + 100 + n, "sparse " + at);
+  }
+}
+
+TEST(RouteAgreementTest, SessionKpSolveAndKpDetRoutesAgreeOverNttPrime) {
+  route_agreement_sweep(field::GFp(field::kNttPrime), 61);
+}
+
+TEST(RouteAgreementTest, SessionKpSolveAndKpDetRoutesAgreeOverZp) {
+  route_agreement_sweep(f, 62);
+}
+
+// ---------------------------------------------------------------------------
 // Wiedemann (section 2).
 
 TEST(WiedemannTest, MinpolyAnnihilatesMatrix) {
@@ -624,9 +704,11 @@ TEST(WiedemannTest, DetMatchesGauss) {
     auto a = random_mat(n, prng);
     auto expect = matrix::det_gauss(f, a);
     if (f.is_zero(expect)) continue;
-    auto res = core::wiedemann_det(f, a, prng, 1u << 20);
+    auto res = core::kp_det(f, a, prng,
+                            {.sample_size = 1u << 20,
+                             .route = core::KrylovRoute::kIterative});
     ASSERT_TRUE(res.ok) << n;
-    EXPECT_EQ(res.value, expect) << n;
+    EXPECT_EQ(res.det, expect) << n;
   }
 }
 
@@ -861,10 +943,10 @@ TEST(ExtensionsTest, LeastSquaresNormalEquationsResidualOrthogonal) {
 // Small fields via algebraic extension (section 2's card(K) < 3n^2 remedy).
 
 TEST(FieldLiftTest, LiftDegreeCoversTarget) {
-  EXPECT_EQ(core::lift_degree(101, 100), 1u);
-  EXPECT_EQ(core::lift_degree(101, 102), 2u);
-  EXPECT_EQ(core::lift_degree(101, 101 * 101 + 1), 3u);
-  EXPECT_EQ(core::lift_degree(2, 1000), 10u);
+  EXPECT_EQ(core::lift_degree_status(101, 100).value(), 1u);
+  EXPECT_EQ(core::lift_degree_status(101, 102).value(), 2u);
+  EXPECT_EQ(core::lift_degree_status(101, 101 * 101 + 1).value(), 3u);
+  EXPECT_EQ(core::lift_degree_status(2, 1000).value(), 10u);
 }
 
 TEST(FieldLiftTest, SolvesOverSmallPrimeField) {

@@ -575,6 +575,66 @@ TEST(CrtShardScheduler, FaultInjectionShardSiteRetriesPrime) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(res.x[i], (*direct)[i]);
 }
 
+TEST(CrtShardScheduler, ShardSetDependsOnlyOnThePrimeStream) {
+  // A singular system makes every prime bad, so parallel lanes race toward
+  // the bad-prime budget.  The shards run -- hence every Diag -- must not
+  // depend on which lane finished first, nor on how many lanes there are.
+  util::Prng prng(77);
+  const std::size_t n = 6;
+  auto a = random_rational_matrix(n, prng);
+  for (std::size_t j = 0; j < n; ++j) a.at(1, j) = a.at(0, j);
+  const auto b = random_rational_vector(n, prng);
+  auto run = [&] {
+    util::Prng solver_prng(7);
+    const auto res = core::crt_solve(q, a, b, solver_prng);
+    EXPECT_TRUE(res.used_generic);
+    EXPECT_EQ(res.status.kind(), FailureKind::kSingularInput);
+    std::vector<std::string> diags;
+    for (const auto& d : res.diags) diags.push_back(util::to_json(d));
+    return diags;
+  };
+  std::vector<std::string> one_lane;
+  {
+    ScopedWorkers pin(1);
+    one_lane = run();
+  }
+  // One lane stops at the first prime over the budget.
+  EXPECT_EQ(one_lane.size(),
+            static_cast<std::size_t>(CrtOptions{}.max_bad_primes) + 1);
+  ScopedWorkers pin(4);
+  for (int r = 0; r < 20; ++r) EXPECT_EQ(run(), one_lane) << "run " << r;
+}
+
+TEST(CrtShardScheduler, AttemptKeyedShardFaultHitsTheSameShardOnEveryRun) {
+  KP_REQUIRE_FAULT_INJECTION();
+  ScopedWorkers pin(4);
+  util::Prng prng(38);
+  const std::size_t n = 4;
+  const auto a = nonsingular_rational(n, prng);
+  const auto b = random_rational_vector(n, prng);
+  const auto direct = matrix::solve_gauss(q, a, b);
+  std::vector<std::string> first;
+  for (int r = 0; r < 20; ++r) {
+    // A shard's fault site runs under attempt = stream index + 1: this one
+    // fails the second shard of the first batch, whichever lane runs it.
+    util::fault::ScopedFault fi(Stage::kCrtShard, /*attempt=*/2);
+    util::Prng solver_prng(7);
+    const auto res = core::crt_solve(q, a, b, solver_prng);
+    EXPECT_EQ(fi.fired(), 1u) << "run " << r;
+    ASSERT_TRUE(res.ok) << res.status.message();
+    std::vector<std::int64_t> injected;
+    std::vector<std::string> diags;
+    for (const auto& d : res.diags) {
+      if (d.injected) injected.push_back(d.shard_prime_index);
+      diags.push_back(util::to_json(d));
+    }
+    EXPECT_EQ(injected, std::vector<std::int64_t>{1}) << "run " << r;
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(res.x[i], (*direct)[i]);
+    if (r == 0) first = diags;
+    EXPECT_EQ(diags, first) << "run " << r;
+  }
+}
+
 TEST(CrtShardScheduler, FaultInjectionReconstructionSiteDelaysTermination) {
   KP_REQUIRE_FAULT_INJECTION();
   ScopedWorkers pin(1);

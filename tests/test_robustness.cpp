@@ -204,7 +204,9 @@ TEST(ValidationTest, WiedemannRejectsDimensionMismatch) {
   EXPECT_EQ(res.status.kind(), FailureKind::kInvalidArgument);
 
   auto rect = matrix::random_matrix(f, 4, 6, prng);
-  auto det = core::wiedemann_det(f, rect, prng, 1u << 20);
+  auto det = core::kp_det(f, rect, prng,
+                          {.sample_size = 1u << 20,
+                           .route = core::KrylovRoute::kIterative});
   EXPECT_FALSE(det.ok);
   EXPECT_EQ(det.status.kind(), FailureKind::kInvalidArgument);
 }
@@ -666,10 +668,10 @@ TEST(FaultInjectionTest, WiedemannDetTargetsTheImplicatedComponent) {
     SCOPED_TRACE(route.block_width);
     auto det = [&](std::uint64_t seed) {
       util::Prng prng(seed);
-      return route.block_width == 1
-                 ? core::wiedemann_det(f, fx.a, prng, 1u << 20)
-                 : core::block_wiedemann_det(f, fx.a, prng, 1u << 20,
-                                             route.block_width);
+      return core::kp_det(f, fx.a, prng,
+                          {.sample_size = 1u << 20,
+                           .route = core::KrylovRoute::kIterative,
+                           .block_width = route.block_width});
     };
     // Projection failure: fresh u, b only.
     {
@@ -677,7 +679,7 @@ TEST(FaultInjectionTest, WiedemannDetTargetsTheImplicatedComponent) {
       auto res = det(92);
       ASSERT_TRUE(res.ok);
       EXPECT_EQ(res.attempts, 2);
-      EXPECT_EQ(res.value, matrix::det_gauss(f, fx.a));
+      EXPECT_EQ(res.det, matrix::det_gauss(f, fx.a));
       ASSERT_EQ(res.diags.size(), 2u);
       EXPECT_TRUE(res.diags[1].redrew_projection);
       EXPECT_FALSE(res.diags[1].redrew_precondition);
@@ -689,13 +691,13 @@ TEST(FaultInjectionTest, WiedemannDetTargetsTheImplicatedComponent) {
       auto res = det(93);
       ASSERT_TRUE(res.ok);
       EXPECT_EQ(res.attempts, 2);
-      EXPECT_EQ(res.value, matrix::det_gauss(f, fx.a));
+      EXPECT_EQ(res.det, matrix::det_gauss(f, fx.a));
       ASSERT_EQ(res.diags.size(), 2u);
       EXPECT_TRUE(res.diags[1].redrew_precondition);
       EXPECT_FALSE(res.diags[1].redrew_projection);
       EXPECT_EQ(res.diags[1].projection_seed, res.diags[0].projection_seed);
     }
-    // Preconditioner-det failure (site in Preconditioner::det): fresh H, D.
+    // Preconditioner failure (the Theorem-2 site after the draw): fresh H, D.
     {
       util::fault::ScopedFault fi(Stage::kPrecondition, /*attempt=*/1);
       auto res = det(94);
